@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
         raise DataError("need a points CSV or --grid R")
     eval_pts = affine.forward(pts) if affine is not None else pts
     g_vals = model.reconstruct(eval_pts)
-    f_vals = model.density(eval_pts)
+    f_vals = model._density_from(g_vals)
     if affine is not None:
         f_vals = f_vals * affine.jacobian
     header = ",".join(f"x{a + 1}" for a in range(model.d)) + ",g,f"

@@ -26,7 +26,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -38,14 +37,15 @@ from .errors import (
     RepresentationError,
 )
 from .neighbors import as_points, knn_stats, validate_k
-from .wavelets import BasisIndex, WaveletFamily, cached_family, _table_at
+from .wavelets import MAX_ORDER, BasisIndex, WaveletFamily, cached_family, _table_at
 
 TREND_DETAILS = "trend-plus-details"
 SINGLE_TREND = "single-trend"
 
 SCHEMA_VERSION = 1
 
-_EVAL_CHUNK = 8192
+# bytes of per-row intermediates that point reconstruction holds at once
+_EVAL_BYTES = 64 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,13 +115,6 @@ def domain_box(config: EstimatorConfig, d: int) -> np.ndarray:
     return box
 
 
-@lru_cache(maxsize=64)
-def _offset_combos(d: int, width: int) -> np.ndarray:
-    """All d-tuples of per-axis offsets 0..width-1, shape (d, width**d)."""
-    grids = np.meshgrid(*([np.arange(width, dtype=np.int64)] * d), indexing="ij")
-    return np.stack([grid.ravel() for grid in grids])
-
-
 def _sorted_entries(raw: dict[BasisIndex, float]) -> dict[BasisIndex, float]:
     return {
         key: raw[key]
@@ -189,16 +182,13 @@ def _band_table_values(family: WaveletFamily, snapped: np.ndarray, j: int):
 def _accumulate_level(family, z_base, fvals, mvals, qs, weights, j, d):
     """Scatter-add weighted tensor basis values into dense per-q blocks."""
     width = family.support_length
-    combos = _offset_combos(d, width)
+    combos = np.indices((width,) * d).reshape(d, -1)
     n_combos = combos.shape[1]
     axis_take = np.arange(d)[:, None]
     zmin = z_base.min(axis=0)
     shape = tuple(z_base.max(axis=0) - zmin + width)
-    strides = np.ones(d, dtype=np.int64)
-    for a in range(d - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
     z_adj = z_base[:, :, None] + combos[None, :, :] - zmin[None, :, None]
-    lin = (z_adj * strides[None, :, None]).sum(axis=1)
+    lin = np.ravel_multi_index(tuple(z_adj.transpose(1, 0, 2)), shape)
     scale = 2.0 ** (d * j / 2.0)
     out = {}
     for q in qs:
@@ -368,17 +358,14 @@ def to_single_trend(coeffs: CoefficientSet, family: WaveletFamily) -> Coefficien
             axis=0,
         )
         shape = tuple(fmax - fmin + 1)
-        strides = np.ones(d, dtype=np.int64)
-        for a in range(d - 2, -1, -1):
-            strides[a] = strides[a + 1] * shape[a + 1]
         fine = np.zeros(int(np.prod(shape)))
-        combos = _offset_combos(d, taps)
+        combos = np.indices((taps,) * d).reshape(d, -1)
         for q, (zmin, dense) in level_blocks:
             filt = _tensor_filter(family, d, q).ravel()
             cell_idx = np.indices(dense.shape).reshape(d, -1)
             z_abs = cell_idx + zmin[:, None]
             target = 2 * z_abs[:, :, None] + combos[:, None, :] - fmin[:, None, None]
-            lin = (target * strides[:, None, None]).sum(axis=0)
+            lin = np.ravel_multi_index(tuple(target), shape)
             contrib = dense.ravel()[:, None] * filt[None, :]
             np.add.at(fine, lin.ravel(), contrib.ravel())
         trend = (fmin, fine.reshape(shape))
@@ -410,18 +397,13 @@ def dilation_coefficients(fine: CoefficientSet, family: WaveletFamily) -> Coeffi
         cmax = zmax_f // 2
         cshape = tuple(np.maximum(cmax - cmin + 1, 0))
         if all(s > 0 for s in cshape):
-            combos = _offset_combos(d, taps)
+            combos = np.indices((taps,) * d).reshape(d, -1)
             cell_idx = np.indices(cshape).reshape(d, -1)
             z_abs = cell_idx + cmin[:, None]
             src = 2 * z_abs[:, :, None] + combos[:, None, :] - zmin_f[:, None, None]
-            valid = np.all(
-                (src >= 0) & (src < np.array(dense_f.shape)[:, None, None]), axis=0
-            )
-            strides = np.ones(d, dtype=np.int64)
-            for a in range(d - 2, -1, -1):
-                strides[a] = strides[a + 1] * dense_f.shape[a + 1]
-            lin = (src * strides[:, None, None]).sum(axis=0)
-            gathered = np.where(valid, dense_f.ravel()[np.clip(lin, 0, dense_f.size - 1)], 0.0)
+            # zero padding of taps per side covers every out-of-block source
+            padded = np.pad(dense_f, taps)
+            gathered = padded.ravel()[np.ravel_multi_index(tuple(src + taps), padded.shape)]
             for q in range(1 << d):
                 filt = _tensor_filter(family, d, q).ravel()
                 coarse = gathered @ filt
@@ -484,6 +466,24 @@ def rescale_to_domain(points, target=None, padding: float = 0.0):
     return mapping.forward(pts), mapping
 
 
+def _axis_factors(family: WaveletFamily, j: int, q: int, zmin, shape, axes) -> list[np.ndarray]:
+    """Per-axis factor matrices of one (level, orientation) block.
+
+    Entry [i, s] of the matrix for axis a is the father (bit a of q clear)
+    or mother (bit a set) at 2**j * axes[a][i] - (zmin[a] + s), so the
+    block's tensor basis at a point is the product of one entry per axis.
+    """
+    r = family.dyadic_resolution
+    width = family.support_length
+    factors = []
+    for a, x in enumerate(axes):
+        t = np.ldexp(np.asarray(x, dtype=float), j)
+        zs = zmin[a] + np.arange(shape[a], dtype=np.int64)
+        table = family.mother_table if (q >> a) & 1 else family.father_table
+        factors.append(_table_at(table, r, width, t[:, None] - zs[None, :]))
+    return factors
+
+
 class DensityModel:
     """A wavelet family plus coefficients, evaluable as a density.
 
@@ -504,43 +504,25 @@ class DensityModel:
         return self.coefficients.d
 
     def reconstruct(self, points) -> np.ndarray:
-        """Linear coefficient reconstruction at the given points."""
+        """Linear coefficient reconstruction at the given points, in chunks of
+        rows whose factor matrices and first contraction fit in ``_EVAL_BYTES``."""
         pts = as_points(points)
         if pts.shape[1] != self.d:
             raise ValueError(f"expected dimension {self.d}, got {pts.shape[1]}")
-        out = np.zeros(pts.shape[0])
-        for start in range(0, pts.shape[0], _EVAL_CHUNK):
-            chunk = pts[start : start + _EVAL_CHUNK]
-            out[start : start + _EVAL_CHUNK] = self._reconstruct_chunk(chunk)
-        return out
-
-    def _reconstruct_chunk(self, pts: np.ndarray) -> np.ndarray:
-        family = self.family
-        d = self.d
-        width = family.support_length
-        r = family.dyadic_resolution
-        offs = np.arange(width, dtype=np.int64)
-        combos = _offset_combos(d, width)
-        axis_take = np.arange(d)[:, None]
+        widest = max(
+            (dense.size // len(dense) + sum(dense.shape) for _, dense in self._blocks.values()),
+            default=1,
+        )
+        rows = max(1, _EVAL_BYTES // (8 * widest))
         out = np.zeros(pts.shape[0])
         for (j, q), (zmin, dense) in self._blocks.items():
-            t = np.ldexp(pts, j)
-            z_base = np.floor(t).astype(np.int64) - (width - 1)
-            u = t[:, :, None] - (z_base[:, :, None] + offs)
-            vals = np.empty_like(u)
-            for a in range(d):
-                table = family.mother_table if (q >> a) & 1 else family.father_table
-                vals[:, a, :] = _table_at(table, r, width, u[:, a, :])
-            prod = vals[:, axis_take, combos].reshape(-1, d, combos.shape[1]).prod(axis=1)
-            z_adj = z_base[:, :, None] + combos[None, :, :] - zmin[None, :, None]
-            shape_arr = np.array(dense.shape, dtype=np.int64)
-            valid = np.all((z_adj >= 0) & (z_adj < shape_arr[None, :, None]), axis=1)
-            strides = np.ones(d, dtype=np.int64)
-            for a in range(d - 2, -1, -1):
-                strides[a] = strides[a + 1] * dense.shape[a + 1]
-            lin = (z_adj * strides[None, :, None]).sum(axis=1)
-            coeff = np.where(valid, dense.ravel()[np.clip(lin, 0, dense.size - 1)], 0.0)
-            out += 2.0 ** (d * j / 2.0) * (coeff * prod).sum(axis=1)
+            for start in range(0, pts.shape[0], rows):
+                chunk = pts[start : start + rows]
+                factors = _axis_factors(self.family, j, q, zmin, dense.shape, chunk.T)
+                acc = factors[0] @ dense.reshape(len(dense), -1)
+                for a in range(1, self.d):
+                    acc = np.einsum("nsr,ns->nr", acc.reshape(len(chunk), dense.shape[a], -1), factors[a])
+                out[start : start + rows] += 2.0 ** (self.d * j / 2.0) * acc[:, 0]
         return out
 
     def reconstruct_on_axes(self, axes: list[np.ndarray]) -> np.ndarray:
@@ -550,38 +532,28 @@ class DensityModel:
         per axis and per stored block, contracted against the dense
         coefficient array.  Output shape is (len(axes[0]), ..., len(axes[d-1])).
         """
-        family = self.family
         d = self.d
         if len(axes) != d:
             raise ValueError(f"expected {d} axis arrays, got {len(axes)}")
-        width = family.support_length
-        r = family.dyadic_resolution
         out = np.zeros(tuple(len(ax) for ax in axes))
         for (j, q), (zmin, dense) in self._blocks.items():
             tensor = dense
-            factors = []
-            for a in range(d):
-                t = np.ldexp(np.asarray(axes[a], dtype=float), j)
-                zs = zmin[a] + np.arange(dense.shape[a], dtype=np.int64)
-                u = t[:, None] - zs[None, :]
-                table = family.mother_table if (q >> a) & 1 else family.father_table
-                factors.append(_table_at(table, r, width, u))
-            for a in range(d):
-                tensor = np.tensordot(tensor, factors[a], axes=([0], [1]))
+            for factor in _axis_factors(self.family, j, q, zmin, dense.shape, axes):
+                tensor = np.tensordot(tensor, factor, axes=([0], [1]))
             out += 2.0 ** (d * j / 2.0) * tensor
         return out
 
-    def density(self, points) -> np.ndarray:
-        rec = self.reconstruct(points)
+    def _density_from(self, rec: np.ndarray) -> np.ndarray:
+        """Density from a reconstruction: squared unless the kind is classical."""
         if self.coefficients.kind == "classical":
             return rec
         return rec * rec
 
+    def density(self, points) -> np.ndarray:
+        return self._density_from(self.reconstruct(points))
+
     def density_on_axes(self, axes: list[np.ndarray]) -> np.ndarray:
-        rec = self.reconstruct_on_axes(axes)
-        if self.coefficients.kind == "classical":
-            return rec
-        return rec * rec
+        return self._density_from(self.reconstruct_on_axes(axes))
 
 
 def reconstruct_g(model: DensityModel, x) -> float:
@@ -646,6 +618,29 @@ def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None
         handle.write(document)
 
 
+def _check_coefficients(cs: CoefficientSet, path) -> None:
+    """Raise DataError where a coefficient set read from a file contradicts
+    its own header: order, representation, translate length, orientation,
+    level, or a non-finite value."""
+    if not 1 <= cs.wavelet_order <= MAX_ORDER:
+        raise DataError(f"{path}: wavelet order {cs.wavelet_order} outside 1..{MAX_ORDER}")
+    if cs.representation not in (TREND_DETAILS, SINGLE_TREND):
+        raise DataError(f"{path}: unknown representation {cs.representation!r}")
+    # single-trend sets hold father entries at J+1 and no details
+    single = cs.representation == SINGLE_TREND
+    father_level = cs.J + 1 if single else cs.j0
+    detail_levels = range(0) if single else range(cs.j0, cs.J + 1)
+    for key, val in cs.entries.items():
+        if len(key.translate) != cs.d or not 0 <= key.orientation < (1 << cs.d):
+            raise DataError(
+                f"{path}: entry {key} needs d={cs.d} translate coordinates and 0 <= q < {1 << cs.d}"
+            )
+        if key.level not in (detail_levels if key.orientation else (father_level,)):
+            raise DataError(f"{path}: entry {key} lies outside the levels of a {cs.representation} set")
+        if not math.isfinite(val):
+            raise DataError(f"{path}: entry {key} has non-finite value {val}")
+
+
 def read_coefficients(path) -> tuple[CoefficientSet, dict]:
     """Read a coefficient file; returns the set and any extra metadata
     (domain, affine, provenance)."""
@@ -676,6 +671,7 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed coefficient document ({exc})") from exc
+    _check_coefficients(coeffs, path)
     extras = {name: doc[name] for name in ("domain", "affine", "provenance") if name in doc}
     return coeffs, extras
 

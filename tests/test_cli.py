@@ -5,7 +5,13 @@ import pytest
 
 from wavedens.cli import main, read_points_csv
 from wavedens.errors import DataError
-from wavedens.estimator import model_from_file
+from wavedens.estimator import (
+    EstimatorConfig,
+    fit_model,
+    model_from_file,
+    to_single_trend,
+    write_coefficients,
+)
 
 
 def write_csv(path, points, header=None):
@@ -204,6 +210,64 @@ class TestEval:
         loaded, _ = model_from_file(model)
         mapped = raw[:5] * np.array(doc["affine"]["scale"]) + np.array(doc["affine"]["offset"])
         np.testing.assert_allclose(rows[:, 3], loaded.density(mapped) * jac, rtol=1e-12)
+
+
+def set_first_entry(field, value):
+    def mutate(doc):
+        doc["entries"][0][field] = value
+    return mutate
+
+
+def set_header(field, value):
+    def mutate(doc):
+        doc[field] = value
+    return mutate
+
+
+def lift_last_detail(doc):
+    # the fixture fits J=1, so a detail entry at level 2 has no place
+    doc["entries"][-1]["j"] = doc["J"] + 1
+
+
+class TestEvalRejectsBadCoefficientFiles:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (set_first_entry("z", [0, 0, 0]), "translate coordinates"),
+            (set_first_entry("q", 9), "0 <= q < 4"),
+            (set_first_entry("q", -1), "0 <= q < 4"),
+            (set_first_entry("value", "nan"), "non-finite"),
+            (set_first_entry("value", 1e999), "non-finite"),
+            (lift_last_detail, "outside the levels"),
+            (set_first_entry("j", 1), "outside the levels"),
+            (set_header("wavelet_order", 11), "wavelet order"),
+            (set_header("wavelet_order", 0), "wavelet order"),
+        ],
+        ids=[
+            "z-length", "q-above-range", "q-negative", "nan-value", "inf-value",
+            "detail-above-J", "trend-off-j0", "order-11", "order-0",
+        ],
+    )
+    def test_exits_2(self, uniform_csv, tmp_path, capsys, mutate, message):
+        model = tmp_path / "m.json"
+        assert main(["fit", str(uniform_csv), "-o", str(model), "--wavelet", "db2", "--J", "1"]) == 0
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        model.write_text(json.dumps(doc))
+        assert main(["eval", str(model), "--grid", "4"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_single_trend_file_accepted(self, tmp_path):
+        rng = np.random.default_rng(5)
+        fitted = fit_model(rng.random((64, 2)), EstimatorConfig(wavelet_order=2, j0=0, J=1, k=1))
+        single = to_single_trend(fitted.coefficients, fitted.family)
+        path = tmp_path / "single.json"
+        write_coefficients(path, single)
+        assert main(["eval", str(path), "--grid", "4", "-o", str(tmp_path / "out.csv")]) == 0
+        detail = json.loads(path.read_text())
+        detail["entries"][0]["q"] = 1
+        path.write_text(json.dumps(detail))
+        assert main(["eval", str(path), "--grid", "4"]) == 2
 
 
 class TestBench:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from wavedens import estimator
+from wavedens.classical import fit_classical
 from wavedens.errors import (
     DataError,
     DegenerateModelError,
@@ -30,7 +32,7 @@ from wavedens.estimator import (
     truncate_details,
     write_coefficients,
 )
-from wavedens.wavelets import BasisIndex, cached_family
+from wavedens.wavelets import BasisIndex, cached_family, tensor_basis_at
 
 HAND_POINTS = np.array([[0.2], [0.4], [0.7]])
 
@@ -366,6 +368,109 @@ class TestReconstruction:
         )
         # thresholding dropped at least one detail entry before normalization
         assert len(model.coefficients.entries) < len(raw.entries)
+
+
+def oracle_reconstruct(model, pts):
+    """Sum of c * tensor_basis_at over every stored entry, point by point."""
+    entries = model.coefficients.entries.items()
+    return np.array(
+        [sum(val * tensor_basis_at(model.family, key, x) for key, val in entries) for x in pts]
+    )
+
+
+def probe_points(rng, d):
+    """Points off the dyadic grid, on dyadic cell edges (including the unit
+    cube's faces), and outside the unit cube."""
+    off_grid = rng.random((6, d))
+    edges = rng.choice([0.0, 0.125, 0.25, 0.5, 0.75, 1.0], size=(6, d))
+    outside = rng.random((4, d))
+    outside[np.arange(4), np.arange(4) % d] = [-0.4, -1e-9, 1.3, 7.0]
+    return np.vstack([off_grid, edges, outside])
+
+
+def assert_matches_oracle(model, pts):
+    expected = oracle_reconstruct(model, pts)
+    scale = np.max(np.abs(expected))
+    assert scale > 0.0
+    np.testing.assert_allclose(model.reconstruct(pts), expected, rtol=0, atol=1e-12 * scale)
+
+
+# (d, wavelet order, J): every d in 1..3 with db1, db2 and db6, at levels that
+# keep the scalar oracle quick
+ORACLE_CASES = [
+    (1, 1, 2), (1, 2, 2), (1, 6, 1),
+    (2, 1, 1), (2, 2, 1), (2, 6, 0),
+    (3, 1, 0), (3, 2, 0), (3, 6, -1),
+]
+
+
+class TestPointReconstructionOracle:
+    @pytest.mark.parametrize("d, order, J", ORACLE_CASES)
+    def test_raw_model(self, d, order, J):
+        rng = np.random.default_rng(100 + 10 * d + order)
+        cfg = EstimatorConfig(wavelet_order=order, j0=0, J=J, k=1, normalize=False)
+        raw = estimate_coefficients(rng.random((120, d)), cfg)
+        assert_matches_oracle(DensityModel(cached_family(order, 10), raw), probe_points(rng, d))
+
+    @pytest.mark.parametrize("d, order, J", [case for case in ORACLE_CASES if case[2] >= 0])
+    def test_thresholded_model(self, d, order, J):
+        rng = np.random.default_rng(200 + 10 * d + order)
+        cfg = EstimatorConfig(wavelet_order=order, j0=0, J=J, k=1, threshold_constant=1.0)
+        pts = rng.random((120, d))
+        model = fit_model(pts, cfg)
+        assert len(model.coefficients.entries) < len(estimate_coefficients(pts, cfg).entries)
+        assert_matches_oracle(model, probe_points(rng, d))
+
+    @pytest.mark.parametrize("d, order, J", [(1, 2, 1), (2, 6, 0), (3, 2, 0)])
+    def test_classical_model(self, d, order, J):
+        rng = np.random.default_rng(300 + 10 * d + order)
+        model = fit_classical(rng.random((120, d)), EstimatorConfig(wavelet_order=order, j0=0, J=J, k=1))
+        pts = probe_points(rng, d)
+        assert_matches_oracle(model, pts)
+        np.testing.assert_array_equal(model.density(pts), model.reconstruct(pts))
+
+    @pytest.mark.parametrize("d, order", [(2, 2), (2, 6), (3, 1), (3, 6)])
+    def test_ragged_blocks_with_lone_entries(self, d, order):
+        # hand-made sparse blocks: an L-shaped trend block, a 1x..x1 detail
+        # block, and a detail block with holes at a finer level
+        rng = np.random.default_rng(400 + 10 * d + order)
+        entries = {BasisIndex(0, (0,) * d, 0): 0.7, BasisIndex(0, (-1,) + (0,) * (d - 1), 0): -0.2}
+        entries[BasisIndex(0, (0,) * (d - 1) + (-2,), 0)] = 0.4
+        entries[BasisIndex(0, (-1,) * d, 1)] = 0.3
+        for z in [(0,) * d, (1,) * d, (-2,) + (1,) * (d - 1)]:
+            entries[BasisIndex(1, z, (1 << d) - 1)] = float(rng.normal())
+        model = DensityModel(cached_family(order, 10), make_set(entries, d=d, wavelet_order=order, J=1))
+        shapes = sorted(dense.shape for _, dense in model._blocks.values())
+        assert (1,) * d in shapes
+        assert_matches_oracle(model, probe_points(rng, d))
+
+
+class TestPointPathAgreement:
+    def test_cell_centres_match_grid_path(self):
+        rng = np.random.default_rng(17)
+        model = fit_model(rng.random((300, 2)), EstimatorConfig(wavelet_order=6, j0=0, J=2, k=1))
+        centres = (np.arange(16) + 0.5) / 16
+        grid = model.reconstruct_on_axes([centres, centres])
+        mesh = np.stack(np.meshgrid(centres, centres, indexing="ij"), axis=-1).reshape(-1, 2)
+        scale = np.max(np.abs(grid))
+        np.testing.assert_allclose(
+            model.reconstruct(mesh).reshape(16, 16), grid, rtol=0, atol=1e-12 * scale
+        )
+
+    def test_chunked_input_matches_pieces(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        model = fit_model(rng.random((300, 2)), EstimatorConfig(wavelet_order=2, j0=0, J=2, k=1))
+        pts = rng.random((50, 2)) * 1.2 - 0.1
+        whole = model.reconstruct(pts)
+        widest = max(
+            dense.size // len(dense) + sum(dense.shape) for _, dense in model._blocks.values()
+        )
+        monkeypatch.setattr(estimator, "_EVAL_BYTES", 8 * widest * 7)  # 7 rows per chunk
+        chunked = model.reconstruct(pts)
+        pieces = np.concatenate([model.reconstruct(pts[i : i + 7]) for i in range(0, 50, 7)])
+        scale = np.max(np.abs(whole))
+        np.testing.assert_allclose(chunked, pieces, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12 * scale)
 
 
 class TestRescaleToDomain:
