@@ -16,6 +16,7 @@ from .errors import (
     DataError,
     DegenerateModelError,
     EstimationError,
+    KConsistencyWarning,
     RepresentationError,
     WavedensError,
 )

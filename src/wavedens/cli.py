@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .classical import fit_classical, rescale_classical
-from .errors import DataError, EstimationError, WavedensError
+from .errors import DataError, EstimationError, KConsistencyWarning, WavedensError
 from .estimator import (
     EstimatorConfig,
     fit_model,
@@ -33,6 +33,7 @@ from .simulation import (
     ks_exponential,
     moment_identity_check,
     run_benchmark,
+    software_versions,
 )
 from .wavelets import build_family, cached_family
 
@@ -95,7 +96,7 @@ def _provenance(args, seed=None) -> dict:
     for key, val in list(flags.items()):
         if isinstance(val, np.ndarray):
             flags[key] = val.tolist()
-    return {"artifact": f"wavedens {__version__}", "flags": flags, "seed": seed}
+    return {**software_versions(), "flags": flags, "seed": seed}
 
 
 def _write_field_csv(path_or_handle, centers, columns, header, provenance_line):
@@ -138,7 +139,8 @@ def cmd_fit(args) -> int:
         threshold_constant=args.threshold,
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        # the k verdict was printed above
+        warnings.simplefilter("ignore", KConsistencyWarning)
         if args.estimator == "classical":
             model = fit_classical(points, config)
             if not args.no_normalize:

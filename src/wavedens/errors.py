@@ -25,3 +25,8 @@ class DegenerateModelError(EstimationError):
 
 class RepresentationError(WavedensError):
     """A coefficient set is in the wrong representation for the operation."""
+
+
+class KConsistencyWarning(UserWarning):
+    """k is large relative to n for consistent estimation (see validate_k);
+    a warning only, since the estimate is still valid."""

@@ -34,6 +34,7 @@ from .errors import (
     DataError,
     DegenerateModelError,
     EstimationError,
+    KConsistencyWarning,
     RepresentationError,
 )
 from .neighbors import as_points, knn_stats, validate_k
@@ -44,8 +45,10 @@ SINGLE_TREND = "single-trend"
 
 SCHEMA_VERSION = 1
 
-# bytes of per-row intermediates that point reconstruction holds at once
-_EVAL_BYTES = 64 << 20
+# bytes of per-row intermediates that coefficient estimation and point
+# reconstruction each hold at once; estimation adds the chunks in point order,
+# so its sums are the same bits for any chunk size
+_CHUNK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,46 +182,38 @@ def _band_table_values(family: WaveletFamily, snapped: np.ndarray, j: int):
     return z_base, family.father_table[table_idx], family.mother_table[table_idx]
 
 
-def _accumulate_level(family, z_base, fvals, mvals, qs, weights, j, d):
-    """Scatter-add weighted tensor basis values into dense per-q blocks."""
+def _accumulate_level(family, snapped, qs, weights, j):
+    """Scatter-add weighted tensor basis values into dense per-q blocks, chunk by chunk."""
+    n, d = snapped.shape
     width = family.support_length
-    combos = np.indices((width,) * d).reshape(d, -1)
-    n_combos = combos.shape[1]
-    axis_take = np.arange(d)[:, None]
-    zmin = z_base.min(axis=0)
-    shape = tuple(z_base.max(axis=0) - zmin + width)
-    z_adj = z_base[:, :, None] + combos[None, :, :] - zmin[None, :, None]
-    lin = np.ravel_multi_index(tuple(z_adj.transpose(1, 0, 2)), shape)
-    scale = 2.0 ** (d * j / 2.0)
-    out = {}
-    for q in qs:
-        vals = np.empty_like(fvals)
-        for a in range(d):
-            vals[:, a, :] = mvals[:, a, :] if (q >> a) & 1 else fvals[:, a, :]
-        prod = vals[:, axis_take, combos].reshape(-1, d, n_combos).prod(axis=1)
-        contrib = prod * (weights * scale)[:, None]
-        dense = np.zeros(int(np.prod(shape)))
-        np.add.at(dense, lin.ravel(), contrib.ravel())
-        out[(j, q)] = (zmin.copy(), dense.reshape(shape))
-    return out
+    # the band start is monotone in each coordinate, so the extreme points bound it
+    zmin, zmax = _band_table_values(family, np.stack([snapped.min(axis=0), snapped.max(axis=0)]), j)[0]
+    shape = tuple(zmax - zmin + width)
+    offs = np.ravel_multi_index(tuple(np.indices((width,) * d).reshape(d, -1)), shape)
+    rows = max(1, _CHUNK_BYTES // (8 * (3 * offs.size + 3 * d * width)))
+    scaled = weights * 2.0 ** (d * j / 2.0)
+    dense = {q: np.zeros(int(np.prod(shape))) for q in qs}
+    for start in range(0, n, rows):
+        z_base, fvals, mvals = _band_table_values(family, snapped[start : start + rows], j)
+        lin = np.ravel_multi_index(tuple((z_base - zmin).T), shape)[:, None] + offs
+        for q in qs:
+            prod = (mvals if q & 1 else fvals)[:, 0].copy()  # scaled in place below
+            for a in range(1, d):
+                u = mvals[:, a] if (q >> a) & 1 else fvals[:, a]
+                prod = (prod[:, :, None] * u[:, None, :]).reshape(len(u), -1)
+            prod *= scaled[start : start + rows, None]
+            np.add.at(dense[q], lin.ravel(), prod.ravel())
+    return {(j, q): (zmin, dense[q].reshape(shape)) for q in qs}
 
 
 def _coefficient_sums(points, weights, config: EstimatorConfig) -> dict[BasisIndex, float]:
     family = cached_family(config.wavelet_order, config.dyadic_resolution)
-    n, d = points.shape
     snapped = snap_to_dyadic(points, family.dyadic_resolution)
+    details = list(range(1, 1 << points.shape[1]))
     blocks = {}
-    z_base, fvals, mvals = _band_table_values(family, snapped, config.j0)
-    blocks.update(
-        _accumulate_level(family, z_base, fvals, mvals, [0], weights, config.j0, d)
-    )
-    detail_qs = list(range(1, 1 << d))
-    for j in range(config.j0, config.J + 1):
-        if j == config.j0:
-            zb, fv, mv = z_base, fvals, mvals
-        else:
-            zb, fv, mv = _band_table_values(family, snapped, j)
-        blocks.update(_accumulate_level(family, zb, fv, mv, detail_qs, weights, j, d))
+    for j in range(config.j0, max(config.J, config.j0) + 1):
+        qs = ([0] if j == config.j0 else []) + (details if j <= config.J else [])
+        blocks.update(_accumulate_level(family, snapped, qs, weights, j))
     return _blocks_to_entries(blocks)
 
 
@@ -243,7 +238,7 @@ def estimate_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
         )
     verdict = validate_k(n, config.k)
     if not verdict.ok:
-        warnings.warn(verdict.message, stacklevel=2)
+        warnings.warn(verdict.message, KConsistencyWarning, stacklevel=2)
     stats = knn_stats(pts, config.k)
     weights = consistency_factor(config.k) / math.sqrt(n) * np.sqrt(stats.volumes)
     entries = _coefficient_sums(pts, weights, config)
@@ -505,7 +500,7 @@ class DensityModel:
 
     def reconstruct(self, points) -> np.ndarray:
         """Linear coefficient reconstruction at the given points, in chunks of
-        rows whose factor matrices and first contraction fit in ``_EVAL_BYTES``."""
+        rows whose factor matrices and first contraction fit in ``_CHUNK_BYTES``."""
         pts = as_points(points)
         if pts.shape[1] != self.d:
             raise ValueError(f"expected dimension {self.d}, got {pts.shape[1]}")
@@ -513,7 +508,7 @@ class DensityModel:
             (dense.size // len(dense) + sum(dense.shape) for _, dense in self._blocks.values()),
             default=1,
         )
-        rows = max(1, _EVAL_BYTES // (8 * widest))
+        rows = max(1, _CHUNK_BYTES // (8 * widest))
         out = np.zeros(pts.shape[0])
         for (j, q), (zmin, dense) in self._blocks.items():
             for start in range(0, pts.shape[0], rows):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,10 +22,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.special import gammaln
 
+from . import __version__
 from .classical import classical_coefficients
-from .errors import ConfigurationError, DataError, EstimationError
+from .errors import ConfigurationError, DataError, EstimationError, KConsistencyWarning
 from .estimator import (
     DensityModel,
     EstimatorConfig,
@@ -414,6 +417,17 @@ def _replicate_cell(spec, config, n, replication, truth_values, grid):
     return out
 
 
+def software_versions() -> dict:
+    """The wavedens artifact and the python, numpy and scipy versions, for
+    provenance records."""
+    return {
+        "artifact": f"wavedens {__version__}",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> BenchmarkReport:
     """Run the full sweep; the report is independent of the worker count.
 
@@ -432,7 +446,7 @@ def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> Benchm
         for n in config.sample_sizes:
             def task(m, _n=n, _spec=spec):
                 with _warnings.catch_warnings():
-                    _warnings.simplefilter("ignore")
+                    _warnings.simplefilter("ignore", KConsistencyWarning)
                     return _replicate_cell(_spec, config, _n, m, truth, grid)
 
             if workers is None or workers > 1:
@@ -466,9 +480,7 @@ def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> Benchm
                                     mise, se, float(np.mean(negs)), secs, None,
                                 )
                             )
-    from . import __version__
-
-    provenance = {"config": config.to_dict(), "artifact": f"wavedens {__version__}"}
+    provenance = {"config": config.to_dict(), **software_versions()}
     return BenchmarkReport(rows=tuple(rows), provenance=provenance)
 
 

@@ -1,10 +1,14 @@
 import json
+import platform
+import warnings
 
 import numpy as np
 import pytest
+import scipy
 
+from wavedens import cli
 from wavedens.cli import main, read_points_csv
-from wavedens.errors import DataError
+from wavedens.errors import DataError, KConsistencyWarning
 from wavedens.estimator import (
     EstimatorConfig,
     fit_model,
@@ -112,6 +116,34 @@ class TestFit:
         ])
         assert code == 0
         assert "warning" in capsys.readouterr().err
+
+    def test_only_the_k_warning_is_silenced(self, tmp_path, capsys, monkeypatch):
+        real_fit = cli.fit_model
+
+        def overflowing_fit(points, config):
+            warnings.warn("overflow in a numpy kernel", RuntimeWarning)
+            return real_fit(points, config)
+
+        monkeypatch.setattr(cli, "fit_model", overflowing_fit)
+        pts = tmp_path / "pts.csv"
+        write_csv(pts, np.random.default_rng(1).random((20, 1)))
+        with pytest.warns(RuntimeWarning, match="overflow") as record:
+            code = main([
+                "fit", str(pts), "-o", str(tmp_path / "m.json"),
+                "--wavelet", "db1", "--J", "-1", "--k", "18",
+            ])
+        assert code == 0
+        assert not any(issubclass(w.category, KConsistencyWarning) for w in record)
+        assert "warning: k=18" in capsys.readouterr().err
+
+    def test_provenance_names_library_versions(self, tmp_path, uniform_csv):
+        out = tmp_path / "m.json"
+        assert main(["fit", str(uniform_csv), "-o", str(out), "--J", "0", "--seed", "3"]) == 0
+        prov = json.loads(out.read_text())["provenance"]
+        assert prov["python"] == platform.python_version()
+        assert prov["numpy"] == np.__version__
+        assert prov["scipy"] == scipy.__version__
+        assert prov["seed"] == 3
 
     def test_rescale_records_affine(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wavedens import estimator
-from wavedens.classical import fit_classical
+from wavedens.classical import classical_coefficients, fit_classical
 from wavedens.errors import (
     DataError,
     DegenerateModelError,
@@ -32,7 +33,8 @@ from wavedens.estimator import (
     truncate_details,
     write_coefficients,
 )
-from wavedens.wavelets import BasisIndex, cached_family, tensor_basis_at
+from wavedens.neighbors import knn_stats
+from wavedens.wavelets import BasisIndex, cached_family, supported_translates, tensor_basis_at
 
 HAND_POINTS = np.array([[0.2], [0.4], [0.7]])
 
@@ -465,12 +467,68 @@ class TestPointPathAgreement:
         widest = max(
             dense.size // len(dense) + sum(dense.shape) for _, dense in model._blocks.values()
         )
-        monkeypatch.setattr(estimator, "_EVAL_BYTES", 8 * widest * 7)  # 7 rows per chunk
+        monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * widest * 7)  # 7 rows per chunk
         chunked = model.reconstruct(pts)
         pieces = np.concatenate([model.reconstruct(pts[i : i + 7]) for i in range(0, 50, 7)])
         scale = np.max(np.abs(whole))
         np.testing.assert_allclose(chunked, pieces, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12 * scale)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("estimate", [estimate_coefficients, classical_coefficients])
+    @pytest.mark.parametrize("order", [1, 2, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chunked_sums_are_bit_exact(self, monkeypatch, d, order, estimate):
+        pts = np.random.default_rng(30 + d).random((97, d))
+        cfg = EstimatorConfig(wavelet_order=order, j0=0, J=1, k=1)
+        whole = estimate(pts, cfg).entries
+        # one row per chunk, a few rows, and many rows; 97 is prime, so chunks end ragged
+        for budget in (1, 4096, 65536):
+            monkeypatch.setattr(estimator, "_CHUNK_BYTES", budget)
+            chunked = estimate(pts, cfg).entries
+            assert list(chunked) == list(whole)
+            assert all(chunked[key] == val for key, val in whole.items())
+
+    @pytest.mark.parametrize("classical", [False, True])
+    @pytest.mark.parametrize(
+        "d, order, J",
+        [(1, 1, 2), (1, 2, 2), (1, 6, 2), (2, 1, 1), (2, 2, 1), (2, 6, 1), (3, 1, 1), (3, 2, 1), (3, 6, -1)],
+    )
+    def test_sums_match_scalar_oracle(self, d, order, J, classical):
+        n = 6
+        pts = np.random.default_rng(40 + d).random((n, d))
+        cfg = EstimatorConfig(wavelet_order=order, j0=0, J=J, k=1)
+        family = cached_family(order, cfg.dyadic_resolution)
+        r = family.dyadic_resolution
+        snapped = np.ldexp(estimator.snap_to_dyadic(pts, r).astype(float), -r)
+        if classical:
+            coeffs = classical_coefficients(pts, cfg)
+            weights = np.full(n, 1.0 / n)
+        else:
+            coeffs = estimate_coefficients(pts, cfg)
+            weights = consistency_factor(1) / math.sqrt(n) * np.sqrt(knn_stats(pts, 1).volumes)
+        blocks = [(0, 0)] + [(j, q) for j in range(0, J + 1) for q in range(1, 1 << d)]
+        keys = set(coeffs.entries)
+        for x in snapped:
+            for j, q in blocks:
+                keys.update(BasisIndex(j, z, q) for z in supported_translates(family, j, x, d))
+        assert {(key.level, key.orientation) for key in keys} == set(blocks)
+        scale = max(abs(val) for val in coeffs.entries.values())
+        for key in keys:
+            oracle = sum(w * tensor_basis_at(family, key, x) for w, x in zip(weights, snapped))
+            assert abs(coeffs.entries.get(key, 0.0) - oracle) <= 1e-12 * scale, key
+
+    def test_fit_memory_is_bounded(self):
+        # full-size (n, d, 11**3) index and value arrays would peak at 512 MiB here
+        pts = np.random.default_rng(5).random((5000, 3))
+        tracemalloc.start()
+        try:
+            fit_model(pts, EstimatorConfig(wavelet_order=6, j0=0, J=0, k=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2**20
 
 
 class TestRescaleToDomain:

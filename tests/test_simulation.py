@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import platform
+import warnings
 
 import numpy as np
 import pytest
+import scipy
 
-from wavedens.errors import ConfigurationError, DataError
+from wavedens import simulation
+from wavedens.errors import ConfigurationError, DataError, KConsistencyWarning
 from wavedens.metrics import GridSpec, mass
 from wavedens.simulation import (
     BenchmarkConfig,
@@ -234,9 +238,31 @@ class TestBenchmark:
         assert doc["schema_version"] == 1
         assert len(doc["rows"]) == len(report.rows)
         assert doc["provenance"]["config"]["seed"] == 4
+        assert doc["provenance"]["python"] == platform.python_version()
+        assert doc["provenance"]["numpy"] == np.__version__
+        assert doc["provenance"]["scipy"] == scipy.__version__
         lines = cpath.read_text().strip().splitlines()
         assert lines[1] == "density,n,J_plus_1,k,sp_mise,sp_se,classical_mise,classical_se"
         assert len(lines) == 2 + 2  # comment, header, one line per (J, k) cell
+
+    def test_only_the_k_warning_is_silenced(self, monkeypatch):
+        real_estimate = simulation.estimate_coefficients
+
+        def overflowing_estimate(points, config):
+            warnings.warn("overflow in a numpy kernel", RuntimeWarning)
+            return real_estimate(points, config)
+
+        monkeypatch.setattr(simulation, "estimate_coefficients", overflowing_estimate)
+        # k=8 at n=32 fails the consistency check, so every fit raises the k warning
+        config = BenchmarkConfig(
+            densities=("uniform",), sample_sizes=(32,), replications=1, J_values=(0,),
+            k_values=(8,), wavelet_order=1, grid_resolution=16, seed=4,
+            estimators=("shape-preserving",),
+        )
+        with pytest.warns(RuntimeWarning, match="overflow") as record:
+            report = run_benchmark(config, workers=1)
+        assert not report.failed
+        assert not any(issubclass(w.category, KConsistencyWarning) for w in record)
 
     def test_config_json_round_trip(self, tmp_path):
         config = BenchmarkConfig(seed=99)
