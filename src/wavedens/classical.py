@@ -39,9 +39,8 @@ def classical_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
             "rescale them first with rescale_to_domain"
         )
     sums = _coefficient_sums(pts, np.ones(n), config)
-    entries = {key: val / n for key, val in sums.items()}
     return CoefficientSet(
-        entries=entries,
+        blocks={key: (zmin, dense / n) for key, (zmin, dense) in sums.items()},
         d=d,
         n=n,
         k=config.k,
@@ -75,6 +74,6 @@ def rescale_classical(model: DensityModel, grid: GridSpec) -> DensityModel:
     total = mass(grid_eval(model, grid))
     if total <= 0.0:
         raise DegenerateModelError(f"grid-integrated mass {total} is not positive")
-    entries = {key: val / total for key, val in model.coefficients.entries.items()}
-    coeffs = dataclasses.replace(model.coefficients, entries=entries, normalized=True)
+    blocks = {key: (zmin, dense / total) for key, (zmin, dense) in model.coefficients.blocks.items()}
+    coeffs = dataclasses.replace(model.coefficients, blocks=blocks, normalized=True)
     return DensityModel(model.family, coeffs)

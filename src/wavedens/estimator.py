@@ -22,10 +22,12 @@ estimation almost bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import gammaln
@@ -79,15 +81,20 @@ class EstimatorConfig:
             raise ValueError("threshold_constant must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Sparse map from basis indices to estimated coefficient values.
+    """Estimated coefficients as dense per-(level, orientation) blocks.
 
-    ``representation`` is either trend-plus-details (father entries at j0,
-    detail entries at j0..J) or single-trend (father entries at J+1 only).
+    ``blocks`` maps (j, q), in sorted order, to (zmin, dense): dense[i] is
+    the coefficient of translate zmin + i.  Each block is cut to the bounding
+    box of its nonzeros and no block is all zero; ``entries`` is a read-only
+    BasisIndex view of the nonzeros, and ``from_entries`` builds a set from
+    such a map.  ``representation`` is either trend-plus-details (father
+    block at j0, detail blocks at j0..J) or single-trend (father block at
+    J+1 only).
     """
 
-    entries: dict[BasisIndex, float]
+    blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     d: int
     n: int
     k: int
@@ -98,6 +105,55 @@ class CoefficientSet:
     representation: str
     kind: str = "shape-preserving"
     dyadic_resolution: int = 10
+
+    @classmethod
+    def from_entries(cls, entries: dict[BasisIndex, float], **meta) -> "CoefficientSet":
+        """A set holding the nonzero values of a BasisIndex map; ``meta``
+        gives every other field."""
+        grouped: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
+        for idx, val in entries.items():
+            grouped.setdefault((idx.level, idx.orientation), []).append((idx.translate, val))
+        blocks = {}
+        for key, items in grouped.items():
+            zs = np.array([z for z, _ in items], dtype=np.int64)
+            zmin = zs.min(axis=0)
+            dense = np.zeros(tuple(zs.max(axis=0) - zmin + 1))
+            dense[tuple((zs - zmin).T)] = [val for _, val in items]
+            blocks[key] = (zmin, dense)
+        return cls(blocks=_trimmed(blocks), **meta)
+
+    @functools.cached_property
+    def entries(self) -> MappingProxyType:
+        """Nonzero coefficients keyed by BasisIndex in (level, orientation,
+        translate) order."""
+        view: dict[BasisIndex, float] = {}
+        for (j, q), (zmin, dense) in self.blocks.items():
+            zs = (np.argwhere(dense) + zmin).tolist()
+            view.update(zip((BasisIndex(j, tuple(z), q) for z in zs), dense[dense != 0].tolist()))
+        return MappingProxyType(view)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoefficientSet):
+            return NotImplemented
+        meta = all(getattr(self, f.name) == getattr(other, f.name) for f in dataclasses.fields(self)[1:])
+        return meta and list(self.blocks) == list(other.blocks) and all(
+            np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+            for a, b in zip(self.blocks.values(), other.blocks.values())
+        )
+
+
+def _trimmed(blocks) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Blocks in sorted (level, orientation) order, each cut to the bounding
+    box of its nonzeros (with -0.0 made +0.0); all-zero blocks are dropped."""
+    out = {}
+    for key in sorted(blocks):
+        zmin, dense = blocks[key]
+        nz = np.nonzero(dense)
+        if nz[0].size == 0:
+            continue
+        box = tuple(slice(ax.min(), ax.max() + 1) for ax in nz)
+        out[key] = (zmin + np.array([s.start for s in box]), dense[box] + 0.0)
+    return out
 
 
 def consistency_factor(k: int) -> float:
@@ -116,44 +172,6 @@ def domain_box(config: EstimatorConfig, d: int) -> np.ndarray:
     if np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("domain box has a non-positive side")
     return box
-
-
-def _sorted_entries(raw: dict[BasisIndex, float]) -> dict[BasisIndex, float]:
-    return {
-        key: raw[key]
-        for key in sorted(raw, key=lambda b: (b.level, b.orientation, b.translate))
-    }
-
-
-def _blocks_to_entries(blocks) -> dict[BasisIndex, float]:
-    raw: dict[BasisIndex, float] = {}
-    for (j, q), (zmin, dense) in blocks.items():
-        flat = dense.ravel()
-        nz = np.flatnonzero(flat)
-        if nz.size == 0:
-            continue
-        coords = np.unravel_index(nz, dense.shape)
-        for pos, val in zip(zip(*coords), flat[nz]):
-            z = tuple(int(zmin[a] + pos[a]) for a in range(len(pos)))
-            raw[BasisIndex(j, z, q)] = float(val)
-    return _sorted_entries(raw)
-
-
-def _entries_to_blocks(cs: CoefficientSet):
-    """Group entries into dense per-(level, orientation) arrays."""
-    grouped: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
-    for idx, val in cs.entries.items():
-        grouped.setdefault((idx.level, idx.orientation), []).append((idx.translate, val))
-    blocks = {}
-    for key, items in grouped.items():
-        zs = np.array([z for z, _ in items], dtype=np.int64)
-        zmin = zs.min(axis=0)
-        shape = tuple(zs.max(axis=0) - zmin + 1)
-        dense = np.zeros(shape)
-        for (z, val) in items:
-            dense[tuple(np.asarray(z) - zmin)] = val
-        blocks[key] = (zmin, dense)
-    return blocks
 
 
 def snap_to_dyadic(points: np.ndarray, resolution: int) -> np.ndarray:
@@ -206,7 +224,7 @@ def _accumulate_level(family, snapped, qs, weights, j):
     return {(j, q): (zmin, dense[q].reshape(shape)) for q in qs}
 
 
-def _coefficient_sums(points, weights, config: EstimatorConfig) -> dict[BasisIndex, float]:
+def _coefficient_sums(points, weights, config: EstimatorConfig):
     family = cached_family(config.wavelet_order, config.dyadic_resolution)
     snapped = snap_to_dyadic(points, family.dyadic_resolution)
     details = list(range(1, 1 << points.shape[1]))
@@ -214,15 +232,15 @@ def _coefficient_sums(points, weights, config: EstimatorConfig) -> dict[BasisInd
     for j in range(config.j0, max(config.J, config.j0) + 1):
         qs = ([0] if j == config.j0 else []) + (details if j <= config.J else [])
         blocks.update(_accumulate_level(family, snapped, qs, weights, j))
-    return _blocks_to_entries(blocks)
+    return _trimmed(blocks)
 
 
 def estimate_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
     """Estimate raw (unnormalized, unthresholded) coefficients of sqrt(f).
 
     Neighbour statistics are computed once and shared across all basis
-    indices; duplicated points contribute zero-volume terms.  Entries whose
-    accumulated sum is exactly zero are absent from the map.
+    indices; duplicated points contribute zero-volume terms.  Coefficients
+    whose accumulated sum is exactly zero are absent from the entries view.
     """
     pts = as_points(points)
     n, d = pts.shape
@@ -241,9 +259,8 @@ def estimate_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
         warnings.warn(verdict.message, KConsistencyWarning, stacklevel=2)
     stats = knn_stats(pts, config.k)
     weights = consistency_factor(config.k) / math.sqrt(n) * np.sqrt(stats.volumes)
-    entries = _coefficient_sums(pts, weights, config)
     return CoefficientSet(
-        entries=entries,
+        blocks=_coefficient_sums(pts, weights, config),
         d=d,
         n=n,
         k=config.k,
@@ -260,8 +277,9 @@ def estimate_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
 def normalization_mass(coeffs: CoefficientSet) -> float:
     """Total squared coefficient mass; equals the integral of the squared
     reconstruction because the basis is orthonormal."""
-    vals = np.fromiter(coeffs.entries.values(), dtype=float, count=len(coeffs.entries))
-    return float(vals @ vals) if vals.size else 0.0
+    # the nonzeros in entry order: padding zeros would regroup the BLAS sum
+    vals = np.concatenate([dense[dense != 0] for _, dense in coeffs.blocks.values()] or [np.zeros(0)])
+    return float(vals @ vals)
 
 
 def normalize(coeffs: CoefficientSet) -> CoefficientSet:
@@ -272,14 +290,14 @@ def normalize(coeffs: CoefficientSet) -> CoefficientSet:
     if coeffs.normalized and abs(mass - 1.0) <= 1e-12:
         return coeffs
     scale = 1.0 / math.sqrt(mass)
-    entries = {key: val * scale for key, val in coeffs.entries.items()}
-    return dataclasses.replace(coeffs, entries=entries, normalized=True)
+    blocks = {key: (zmin, dense * scale) for key, (zmin, dense) in coeffs.blocks.items()}
+    return dataclasses.replace(coeffs, blocks=blocks, normalized=True)
 
 
 def soft_threshold(coeffs: CoefficientSet, threshold_constant: float, n: int) -> CoefficientSet:
     """Soft-threshold detail entries with level-dependent threshold
-    t_j = C sqrt(j+1) / sqrt(n); trend entries are untouched and exact zeros
-    are dropped from the map."""
+    t_j = C sqrt(j+1) / sqrt(n); trend blocks are untouched and exact zeros
+    are trimmed away."""
     if threshold_constant < 0:
         raise ValueError("threshold constant must be >= 0")
     if coeffs.representation != TREND_DETAILS:
@@ -289,16 +307,13 @@ def soft_threshold(coeffs: CoefficientSet, threshold_constant: float, n: int) ->
         )
     if threshold_constant == 0.0:
         return coeffs
-    entries: dict[BasisIndex, float] = {}
-    for key, val in coeffs.entries.items():
-        if key.orientation == 0:
-            entries[key] = val
-            continue
-        t_j = threshold_constant * math.sqrt(key.level + 1) / math.sqrt(n)
-        shrunk = math.copysign(max(abs(val) - t_j, 0.0), val)
-        if shrunk != 0.0:
-            entries[key] = shrunk
-    return dataclasses.replace(coeffs, entries=entries, normalized=False)
+    blocks = {}
+    for (j, q), (zmin, dense) in coeffs.blocks.items():
+        if q:
+            t_j = threshold_constant * math.sqrt(j + 1) / math.sqrt(n)
+            dense = np.copysign(np.maximum(np.abs(dense) - t_j, 0.0), dense)
+        blocks[(j, q)] = (zmin, dense)
+    return dataclasses.replace(coeffs, blocks=_trimmed(blocks), normalized=False)
 
 
 def truncate_details(coeffs: CoefficientSet, new_J: int) -> CoefficientSet:
@@ -309,12 +324,8 @@ def truncate_details(coeffs: CoefficientSet, new_J: int) -> CoefficientSet:
         raise ValueError(f"new_J must lie in [{coeffs.j0 - 1}, {coeffs.J}]")
     if new_J == coeffs.J:
         return coeffs
-    entries = {
-        key: val
-        for key, val in coeffs.entries.items()
-        if key.orientation == 0 or key.level <= new_J
-    }
-    return dataclasses.replace(coeffs, entries=entries, J=new_J, normalized=False)
+    blocks = {(j, q): block for (j, q), block in coeffs.blocks.items() if q == 0 or j <= new_J}
+    return dataclasses.replace(coeffs, blocks=blocks, J=new_J, normalized=False)
 
 
 def _tensor_filter(family: WaveletFamily, d: int, q: int) -> np.ndarray:
@@ -337,7 +348,7 @@ def to_single_trend(coeffs: CoefficientSet, family: WaveletFamily) -> Coefficien
         return coeffs
     d = coeffs.d
     taps = 2 * family.order
-    blocks = _entries_to_blocks(coeffs)
+    blocks = coeffs.blocks
     trend = blocks.get((coeffs.j0, 0))
     for j in range(coeffs.j0, coeffs.J + 1):
         level_blocks = [(0, trend)] if trend is not None else []
@@ -364,11 +375,8 @@ def to_single_trend(coeffs: CoefficientSet, family: WaveletFamily) -> Coefficien
             contrib = dense.ravel()[:, None] * filt[None, :]
             np.add.at(fine, lin.ravel(), contrib.ravel())
         trend = (fmin, fine.reshape(shape))
-    if trend is None:
-        entries: dict[BasisIndex, float] = {}
-    else:
-        entries = _blocks_to_entries({(coeffs.J + 1, 0): trend})
-    return dataclasses.replace(coeffs, entries=entries, representation=SINGLE_TREND)
+    blocks = _trimmed({(coeffs.J + 1, 0): trend} if trend is not None else {})
+    return dataclasses.replace(coeffs, blocks=blocks, representation=SINGLE_TREND)
 
 
 def dilation_coefficients(fine: CoefficientSet, family: WaveletFamily) -> CoefficientSet:
@@ -383,7 +391,7 @@ def dilation_coefficients(fine: CoefficientSet, family: WaveletFamily) -> Coeffi
     level_fine = fine.J + 1
     coarse_level = level_fine - 1
     taps = 2 * family.order
-    blocks = _entries_to_blocks(fine)
+    blocks = fine.blocks
     out_blocks = {}
     if (level_fine, 0) in blocks:
         zmin_f, dense_f = blocks[(level_fine, 0)]
@@ -403,10 +411,9 @@ def dilation_coefficients(fine: CoefficientSet, family: WaveletFamily) -> Coeffi
                 filt = _tensor_filter(family, d, q).ravel()
                 coarse = gathered @ filt
                 out_blocks[(coarse_level, q)] = (cmin.copy(), coarse.reshape(cshape))
-    entries = _blocks_to_entries(out_blocks)
     return dataclasses.replace(
         fine,
-        entries=entries,
+        blocks=_trimmed(out_blocks),
         j0=coarse_level,
         J=coarse_level,
         representation=TREND_DETAILS,
@@ -492,7 +499,6 @@ class DensityModel:
             raise ValueError("family order does not match the coefficient set")
         self.family = family
         self.coefficients = coefficients
-        self._blocks = _entries_to_blocks(coefficients)
 
     @property
     def d(self) -> int:
@@ -505,12 +511,12 @@ class DensityModel:
         if pts.shape[1] != self.d:
             raise ValueError(f"expected dimension {self.d}, got {pts.shape[1]}")
         widest = max(
-            (dense.size // len(dense) + sum(dense.shape) for _, dense in self._blocks.values()),
+            (dense.size // len(dense) + sum(dense.shape) for _, dense in self.coefficients.blocks.values()),
             default=1,
         )
         rows = max(1, _CHUNK_BYTES // (8 * widest))
         out = np.zeros(pts.shape[0])
-        for (j, q), (zmin, dense) in self._blocks.items():
+        for (j, q), (zmin, dense) in self.coefficients.blocks.items():
             for start in range(0, pts.shape[0], rows):
                 chunk = pts[start : start + rows]
                 factors = _axis_factors(self.family, j, q, zmin, dense.shape, chunk.T)
@@ -531,7 +537,7 @@ class DensityModel:
         if len(axes) != d:
             raise ValueError(f"expected {d} axis arrays, got {len(axes)}")
         out = np.zeros(tuple(len(ax) for ax in axes))
-        for (j, q), (zmin, dense) in self._blocks.items():
+        for (j, q), (zmin, dense) in self.coefficients.blocks.items():
             tensor = dense
             for factor in _axis_factors(self.family, j, q, zmin, dense.shape, axes):
                 tensor = np.tensordot(tensor, factor, axes=([0], [1]))
@@ -613,25 +619,25 @@ def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None
         handle.write(document)
 
 
-def _check_coefficients(cs: CoefficientSet, path) -> None:
-    """Raise DataError where a coefficient set read from a file contradicts
-    its own header: order, representation, translate length, orientation,
-    level, or a non-finite value."""
-    if not 1 <= cs.wavelet_order <= MAX_ORDER:
-        raise DataError(f"{path}: wavelet order {cs.wavelet_order} outside 1..{MAX_ORDER}")
-    if cs.representation not in (TREND_DETAILS, SINGLE_TREND):
-        raise DataError(f"{path}: unknown representation {cs.representation!r}")
+def _check_coefficients(entries, path, *, d, j0, J, wavelet_order, representation, **_) -> None:
+    """Raise DataError where the entries read from a file contradict their
+    own header: order, representation, translate length, orientation, level,
+    or a non-finite value."""
+    if not 1 <= wavelet_order <= MAX_ORDER:
+        raise DataError(f"{path}: wavelet order {wavelet_order} outside 1..{MAX_ORDER}")
+    if representation not in (TREND_DETAILS, SINGLE_TREND):
+        raise DataError(f"{path}: unknown representation {representation!r}")
     # single-trend sets hold father entries at J+1 and no details
-    single = cs.representation == SINGLE_TREND
-    father_level = cs.J + 1 if single else cs.j0
-    detail_levels = range(0) if single else range(cs.j0, cs.J + 1)
-    for key, val in cs.entries.items():
-        if len(key.translate) != cs.d or not 0 <= key.orientation < (1 << cs.d):
+    single = representation == SINGLE_TREND
+    father_level = J + 1 if single else j0
+    detail_levels = range(0) if single else range(j0, J + 1)
+    for key, val in entries.items():
+        if len(key.translate) != d or not 0 <= key.orientation < (1 << d):
             raise DataError(
-                f"{path}: entry {key} needs d={cs.d} translate coordinates and 0 <= q < {1 << cs.d}"
+                f"{path}: entry {key} needs d={d} translate coordinates and 0 <= q < {1 << d}"
             )
         if key.level not in (detail_levels if key.orientation else (father_level,)):
-            raise DataError(f"{path}: entry {key} lies outside the levels of a {cs.representation} set")
+            raise DataError(f"{path}: entry {key} lies outside the levels of a {representation} set")
         if not math.isfinite(val):
             raise DataError(f"{path}: entry {key} has non-finite value {val}")
 
@@ -651,8 +657,7 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
         for item in doc["entries"]:
             key = BasisIndex(int(item["j"]), tuple(int(c) for c in item["z"]), int(item["q"]))
             entries[key] = float(item["value"])
-        coeffs = CoefficientSet(
-            entries=_sorted_entries(entries),
+        meta = dict(
             d=int(doc["d"]),
             n=int(doc["n"]),
             k=int(doc["k"]),
@@ -666,9 +671,9 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed coefficient document ({exc})") from exc
-    _check_coefficients(coeffs, path)
+    _check_coefficients(entries, path, **meta)
     extras = {name: doc[name] for name in ("domain", "affine", "provenance") if name in doc}
-    return coeffs, extras
+    return CoefficientSet.from_entries(entries, **meta), extras
 
 
 def model_from_file(path) -> tuple[DensityModel, dict]:

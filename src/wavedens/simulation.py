@@ -14,8 +14,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import platform
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -418,13 +420,14 @@ def _replicate_cell(spec, config, n, replication, truth_values, grid):
 
 
 def software_versions() -> dict:
-    """The wavedens artifact and the python, numpy and scipy versions, for
-    provenance records."""
+    """The wavedens artifact, the python, numpy and scipy versions and the
+    machine's core count, for provenance records."""
     return {
         "artifact": f"wavedens {__version__}",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "cores": os.cpu_count(),
     }
 
 
@@ -435,8 +438,6 @@ def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> Benchm
     reduced in fixed order; a failing row is marked rather than aborting the
     sweep.
     """
-    import warnings as _warnings
-
     cached_family(config.wavelet_order, config.dyadic_resolution)
     rows: list[BenchRow] = []
     for density in config.densities:
@@ -445,15 +446,16 @@ def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> Benchm
         truth = true_density_field(spec, grid).values
         for n in config.sample_sizes:
             def task(m, _n=n, _spec=spec):
-                with _warnings.catch_warnings():
-                    _warnings.simplefilter("ignore", KConsistencyWarning)
-                    return _replicate_cell(_spec, config, _n, m, truth, grid)
+                return _replicate_cell(_spec, config, _n, m, truth, grid)
 
-            if workers is None or workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(task, range(config.replications)))
-            else:
-                results = [task(m) for m in range(config.replications)]
+            # catch_warnings swaps process-wide filters: never enter it in a worker
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", KConsistencyWarning)
+                if workers is None or workers > 1:
+                    with ThreadPoolExecutor(max_workers=workers) as pool:
+                        results = list(pool.map(task, range(config.replications)))
+                else:
+                    results = [task(m) for m in range(config.replications)]
 
             for J in config.J_values:
                 for k in config.k_values:

@@ -281,13 +281,6 @@ def supported_translates(family: WaveletFamily, j: int, x, d: int) -> list[tuple
     return out
 
 
-@lru_cache(maxsize=256)
-def _axis_filter_cache(order: int, q: int, d: int) -> tuple[np.ndarray, ...]:
-    h = daubechies_filter(order)
-    g = highpass_from_lowpass(h)
-    return tuple(g if (q >> a) & 1 else h for a in range(d))
-
-
 def refinement_coefficients(
     family: WaveletFamily, d: int, q: int
 ) -> dict[tuple[int, ...], float]:
@@ -299,7 +292,7 @@ def refinement_coefficients(
     """
     if not 0 <= q < (1 << d):
         raise ValueError(f"orientation {q} out of range for d={d}")
-    filters = _axis_filter_cache(family.order, q, d)
+    filters = [family.highpass if (q >> a) & 1 else family.lowpass for a in range(d)]
     taps = len(filters[0])
     out: dict[tuple[int, ...], float] = {}
 

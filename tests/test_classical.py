@@ -79,8 +79,8 @@ class TestClassicalDensity:
 class TestRescaleClassical:
     def test_halves_density(self):
         fam = cached_family(1, 10)
-        coeffs = CoefficientSet(
-            entries={BasisIndex(0, (0, 0), 0): 2.0},
+        coeffs = CoefficientSet.from_entries(
+            {BasisIndex(0, (0, 0), 0): 2.0},
             d=2, n=4, k=1, j0=0, J=-1, wavelet_order=1,
             normalized=False, representation="trend-plus-details", kind="classical",
         )
@@ -105,8 +105,8 @@ class TestRescaleClassical:
 
     def test_nonpositive_mass_rejected(self):
         fam = cached_family(1, 10)
-        coeffs = CoefficientSet(
-            entries={BasisIndex(0, (0, 0), 0): -1.0},
+        coeffs = CoefficientSet.from_entries(
+            {BasisIndex(0, (0, 0), 0): -1.0},
             d=2, n=4, k=1, j0=0, J=-1, wavelet_order=1,
             normalized=False, representation="trend-plus-details", kind="classical",
         )

@@ -1,4 +1,5 @@
 import json
+import os
 import platform
 import warnings
 
@@ -143,6 +144,7 @@ class TestFit:
         assert prov["python"] == platform.python_version()
         assert prov["numpy"] == np.__version__
         assert prov["scipy"] == scipy.__version__
+        assert prov["cores"] == os.cpu_count()
         assert prov["seed"] == 3
 
     def test_rescale_records_affine(self, tmp_path):

@@ -57,7 +57,7 @@ def make_set(entries, **kw):
         normalized=False, representation="trend-plus-details",
     )
     meta.update(kw)
-    return CoefficientSet(entries=entries, **meta)
+    return CoefficientSet.from_entries(entries, **meta)
 
 
 class TestConsistencyFactor:
@@ -442,7 +442,7 @@ class TestPointReconstructionOracle:
         for z in [(0,) * d, (1,) * d, (-2,) + (1,) * (d - 1)]:
             entries[BasisIndex(1, z, (1 << d) - 1)] = float(rng.normal())
         model = DensityModel(cached_family(order, 10), make_set(entries, d=d, wavelet_order=order, J=1))
-        shapes = sorted(dense.shape for _, dense in model._blocks.values())
+        shapes = sorted(dense.shape for _, dense in model.coefficients.blocks.values())
         assert (1,) * d in shapes
         assert_matches_oracle(model, probe_points(rng, d))
 
@@ -465,7 +465,7 @@ class TestPointPathAgreement:
         pts = rng.random((50, 2)) * 1.2 - 0.1
         whole = model.reconstruct(pts)
         widest = max(
-            dense.size // len(dense) + sum(dense.shape) for _, dense in model._blocks.values()
+            dense.size // len(dense) + sum(dense.shape) for _, dense in model.coefficients.blocks.values()
         )
         monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * widest * 7)  # 7 rows per chunk
         chunked = model.reconstruct(pts)

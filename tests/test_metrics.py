@@ -40,8 +40,8 @@ class TestGridEval:
 
     def test_haar_trend_model_is_piecewise_constant(self):
         fam = cached_family(1, 10)
-        coeffs = CoefficientSet(
-            entries={BasisIndex(1, (0, 0), 0): 1.0},
+        coeffs = CoefficientSet.from_entries(
+            {BasisIndex(1, (0, 0), 0): 1.0},
             d=2, n=1, k=1, j0=1, J=0, wavelet_order=1,
             normalized=False, representation="trend-plus-details",
         )

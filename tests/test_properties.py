@@ -1,5 +1,7 @@
 """Property tests over small random samples in one and two dimensions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wavedens.estimator import (
+    CoefficientSet,
     EstimatorConfig,
     estimate_coefficients,
     fit_model,
     normalization_mass,
     read_coefficients,
+    soft_threshold,
+    to_single_trend,
     write_coefficients,
 )
+from wavedens.wavelets import cached_family
 
 pytestmark = pytest.mark.filterwarnings("ignore::wavedens.errors.KConsistencyWarning")
 
@@ -77,3 +83,20 @@ def test_coefficient_file_round_trip_is_exact(tmp_path_factory, fit):
     back, _ = read_coefficients(path)
     assert list(back.entries) == list(coeffs.entries)
     assert back == coeffs
+
+
+@PROPERTY
+@given(fits())
+def test_blocks_are_sorted_trimmed_and_rebuilt_from_entries(fit):
+    points, config = fit
+    raw = estimate_coefficients(points, config)
+    family = cached_family(config.wavelet_order, config.dyadic_resolution)
+    for cs in (raw, fit_model(points, config).coefficients, soft_threshold(raw, 1.0, raw.n), to_single_trend(raw, family)):
+        assert list(cs.blocks) == sorted(cs.blocks)
+        for _, dense in cs.blocks.values():
+            for axis in range(dense.ndim):
+                others = tuple(a for a in range(dense.ndim) if a != axis)
+                nonzero = np.any(dense != 0.0, axis=others)
+                assert nonzero[0] and nonzero[-1]
+        meta = {f.name: getattr(cs, f.name) for f in dataclasses.fields(cs) if f.name != "blocks"}
+        assert CoefficientSet.from_entries(cs.entries, **meta) == cs

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import platform
+import sys
 import warnings
 
 import numpy as np
@@ -241,6 +243,7 @@ class TestBenchmark:
         assert doc["provenance"]["python"] == platform.python_version()
         assert doc["provenance"]["numpy"] == np.__version__
         assert doc["provenance"]["scipy"] == scipy.__version__
+        assert doc["provenance"]["cores"] == os.cpu_count()
         lines = cpath.read_text().strip().splitlines()
         assert lines[1] == "density,n,J_plus_1,k,sp_mise,sp_se,classical_mise,classical_se"
         assert len(lines) == 2 + 2  # comment, header, one line per (J, k) cell
@@ -263,6 +266,33 @@ class TestBenchmark:
             report = run_benchmark(config, workers=1)
         assert not report.failed
         assert not any(issubclass(w.category, KConsistencyWarning) for w in record)
+
+    def test_k_warning_filter_is_thread_safe(self, monkeypatch):
+        real_estimate = simulation.estimate_coefficients
+
+        def overflowing_estimate(points, config):
+            warnings.warn("overflow in a numpy kernel", RuntimeWarning)
+            return real_estimate(points, config)
+
+        monkeypatch.setattr(simulation, "estimate_coefficients", overflowing_estimate)
+        # every fit raises the k warning (k >= 8 at n=32); a filter entered in
+        # a worker thread and left early would let some of them through
+        config = BenchmarkConfig(
+            densities=("uniform",), sample_sizes=(32,), replications=8, J_values=(0,),
+            k_values=(8, 12, 16, 20), wavelet_order=1, grid_resolution=16, seed=4,
+            estimators=("shape-preserving",),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # frequent thread switches widen the race
+        try:
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                for _ in range(20):
+                    run_benchmark(config, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(issubclass(w.category, KConsistencyWarning) for w in record)
+        assert sum(issubclass(w.category, RuntimeWarning) for w in record) == 20 * 8 * 4
 
     def test_config_json_round_trip(self, tmp_path):
         config = BenchmarkConfig(seed=99)
