@@ -48,6 +48,7 @@ from .estimator import (
     consistency_factor,
     density_at,
     dilation_coefficients,
+    estimate_coefficient_sets,
     estimate_coefficients,
     fit_model,
     model_from_file,

@@ -38,7 +38,7 @@ def classical_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
             "points fall outside the configured domain; "
             "rescale them first with rescale_to_domain"
         )
-    sums = _coefficient_sums(pts, np.ones(n), config)
+    sums = _coefficient_sums(pts, np.ones((1, n)), config)[0]
     return CoefficientSet(
         blocks={key: (zmin, dense / n) for key, (zmin, dense) in sums.items()},
         d=d,

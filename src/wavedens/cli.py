@@ -57,6 +57,13 @@ def _parse_wavelet(text: str) -> int:
         raise argparse.ArgumentTypeError(f"cannot parse wavelet order from {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def read_points_csv(path, dim: int | None = None) -> np.ndarray:
     """Read an (n, d) point CSV: comma separated, '.' decimal, optional
     single header line, '#' comment lines allowed."""
@@ -335,7 +342,7 @@ def cmd_check(args) -> int:
         return USAGE_EXIT
     ok = True
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", KConsistencyWarning)
         for suite in suites:
             if suite == "wavelet":
                 ok &= _suite_wavelet()
@@ -423,7 +430,7 @@ def build_parser() -> _Parser:
     bench.add_argument("config", help="benchmark config JSON")
     bench.add_argument("-o", "--output", required=True, help="report JSON to write")
     bench.add_argument("--csv", default=None, help="report CSV (default: next to the JSON)")
-    bench.add_argument("--threads", type=int, default=None)
+    bench.add_argument("--threads", type=_positive_int, default=None)
     bench.set_defaults(func=cmd_bench)
 
     check = sub.add_parser("check", help="run statistical and numerical oracle suites")

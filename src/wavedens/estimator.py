@@ -39,7 +39,7 @@ from .errors import (
     KConsistencyWarning,
     RepresentationError,
 )
-from .neighbors import as_points, knn_stats, validate_k
+from .neighbors import _knn_stats, as_points, validate_k
 from .wavelets import MAX_ORDER, BasisIndex, WaveletFamily, cached_family, _table_at
 
 TREND_DETAILS = "trend-plus-details"
@@ -201,7 +201,12 @@ def _band_table_values(family: WaveletFamily, snapped: np.ndarray, j: int):
 
 
 def _accumulate_level(family, snapped, qs, weights, j):
-    """Scatter-add weighted tensor basis values into dense per-q blocks, chunk by chunk."""
+    """Scatter-add weighted tensor basis values into dense per-q blocks, chunk
+    by chunk, for every row of the (m, n) ``weights``; returns m block maps.
+
+    The band-table gather and the flat indices of a chunk are shared by all
+    rows, and each row's products and sums keep the arithmetic of a one-row
+    call."""
     n, d = snapped.shape
     width = family.support_length
     # the band start is monotone in each coordinate, so the extreme points bound it
@@ -209,30 +214,33 @@ def _accumulate_level(family, snapped, qs, weights, j):
     shape = tuple(zmax - zmin + width)
     offs = np.ravel_multi_index(tuple(np.indices((width,) * d).reshape(d, -1)), shape)
     rows = max(1, _CHUNK_BYTES // (8 * (3 * offs.size + 3 * d * width)))
-    scaled = weights * 2.0 ** (d * j / 2.0)
-    dense = {q: np.zeros(int(np.prod(shape))) for q in qs}
+    scale = 2.0 ** (d * j / 2.0)
+    dense = np.zeros((len(weights), len(qs), int(np.prod(shape))))
     for start in range(0, n, rows):
         z_base, fvals, mvals = _band_table_values(family, snapped[start : start + rows], j)
-        lin = np.ravel_multi_index(tuple((z_base - zmin).T), shape)[:, None] + offs
-        for q in qs:
-            prod = (mvals if q & 1 else fvals)[:, 0].copy()  # scaled in place below
-            for a in range(1, d):
-                u = mvals[:, a] if (q >> a) & 1 else fvals[:, a]
-                prod = (prod[:, :, None] * u[:, None, :]).reshape(len(u), -1)
-            prod *= scaled[start : start + rows, None]
-            np.add.at(dense[q], lin.ravel(), prod.ravel())
-    return {(j, q): (zmin, dense[q].reshape(shape)) for q in qs}
+        lin = (np.ravel_multi_index(tuple((z_base - zmin).T), shape)[:, None] + offs).ravel()
+        for iq, q in enumerate(qs):
+            for sums, w in zip(dense[:, iq], weights):
+                prod = (mvals if q & 1 else fvals)[:, 0].copy()  # scaled in place below
+                for a in range(1, d):
+                    u = mvals[:, a] if (q >> a) & 1 else fvals[:, a]
+                    prod = (prod[:, :, None] * u[:, None, :]).reshape(len(u), -1)
+                prod *= (w[start : start + rows] * scale)[:, None]
+                np.add.at(sums, lin, prod.ravel())
+    return [{(j, q): (zmin, block.reshape(shape)) for q, block in zip(qs, level)} for level in dense]
 
 
 def _coefficient_sums(points, weights, config: EstimatorConfig):
+    """Trimmed coefficient sums of every row of the (m, n) ``weights``."""
     family = cached_family(config.wavelet_order, config.dyadic_resolution)
     snapped = snap_to_dyadic(points, family.dyadic_resolution)
     details = list(range(1, 1 << points.shape[1]))
-    blocks = {}
+    sums = [{} for _ in weights]
     for j in range(config.j0, max(config.J, config.j0) + 1):
         qs = ([0] if j == config.j0 else []) + (details if j <= config.J else [])
-        blocks.update(_accumulate_level(family, snapped, qs, weights, j))
-    return _trimmed(blocks)
+        for blocks, level in zip(sums, _accumulate_level(family, snapped, qs, weights, j)):
+            blocks.update(level)
+    return [_trimmed(blocks) for blocks in sums]
 
 
 def estimate_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
@@ -241,37 +249,57 @@ def estimate_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
     Neighbour statistics are computed once and shared across all basis
     indices; duplicated points contribute zero-volume terms.  Coefficients
     whose accumulated sum is exactly zero are absent from the entries view.
+    This is the one-k case of ``estimate_coefficient_sets``.
     """
+    return _estimate_sets(points, config, [config.k])[0]
+
+
+def estimate_coefficient_sets(points, config: EstimatorConfig, ks) -> list[CoefficientSet]:
+    """``estimate_coefficients`` at every k in ``ks`` (``config.k`` is unused),
+    one set per k with the same bits as a one-k call.
+
+    One k-d tree query serves every k, and the basis values of each point
+    are looked up once and weighted by each k's ball volumes.
+    """
+    return _estimate_sets(points, config, ks)
+
+
+def _estimate_sets(points, config: EstimatorConfig, ks) -> list[CoefficientSet]:
     pts = as_points(points)
     n, d = pts.shape
     if n < 2:
         raise EstimationError(f"need at least 2 points to estimate, got {n}")
-    if config.k >= n:
-        raise EstimationError(f"k={config.k} requires at least k+1={config.k + 1} points")
+    for k in ks:
+        if k >= n:
+            raise EstimationError(f"k={k} requires at least k+1={k + 1} points")
     box = domain_box(config, d)
     if np.any(pts < box[:, 0]) or np.any(pts > box[:, 1]):
         raise EstimationError(
             "points fall outside the configured domain; "
             "rescale them first with rescale_to_domain"
         )
-    verdict = validate_k(n, config.k)
-    if not verdict.ok:
-        warnings.warn(verdict.message, KConsistencyWarning, stacklevel=2)
-    stats = knn_stats(pts, config.k)
-    weights = consistency_factor(config.k) / math.sqrt(n) * np.sqrt(stats.volumes)
-    return CoefficientSet(
-        blocks=_coefficient_sums(pts, weights, config),
-        d=d,
-        n=n,
-        k=config.k,
-        j0=config.j0,
-        J=config.J,
-        wavelet_order=config.wavelet_order,
-        normalized=False,
-        representation=TREND_DETAILS,
-        kind="shape-preserving",
-        dyadic_resolution=config.dyadic_resolution,
-    )
+    for k in ks:
+        verdict = validate_k(n, k)
+        if not verdict.ok:
+            # attributed to the caller of the public entry point
+            warnings.warn(verdict.message, KConsistencyWarning, stacklevel=3)
+    weights = np.stack([consistency_factor(s.k) / math.sqrt(n) * np.sqrt(s.volumes) for s in _knn_stats(pts, ks)])
+    return [
+        CoefficientSet(
+            blocks=blocks,
+            d=d,
+            n=n,
+            k=k,
+            j0=config.j0,
+            J=config.J,
+            wavelet_order=config.wavelet_order,
+            normalized=False,
+            representation=TREND_DETAILS,
+            kind="shape-preserving",
+            dyadic_resolution=config.dyadic_resolution,
+        )
+        for k, blocks in zip(ks, _coefficient_sums(pts, weights, config))
+    ]
 
 
 def normalization_mass(coeffs: CoefficientSet) -> float:
@@ -486,6 +514,27 @@ def _axis_factors(family: WaveletFamily, j: int, q: int, zmin, shape, axes) -> l
     return factors
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_columns(order: int, resolution: int, j: int, mother: bool, axis: bytes) -> tuple[int, np.ndarray]:
+    """Father (or mother) values at level j of every translate that can be
+    nonzero somewhere on a grid axis, given as float64 bytes.
+
+    Returns (zlo, columns): columns[i, s] is the value at 2**j * x[i] -
+    (zlo + s), read-only, over the translates [ceil(2**j min x - (2p-1)),
+    floor(2**j max x)] of the finite coordinates; ``_table_at`` is exactly
+    +0.0 at every other translate.
+    """
+    family = cached_family(order, resolution)
+    x = np.frombuffer(axis)
+    t = np.ldexp(x, j)
+    finite = t[np.isfinite(t)]
+    zlo = math.ceil(finite.min() - family.support_length) if finite.size else 0
+    zhi = math.floor(finite.max()) if finite.size else -1
+    (columns,) = _axis_factors(family, j, int(mother), [zlo], [zhi - zlo + 1], [x])
+    columns.flags.writeable = False
+    return zlo, columns
+
+
 class DensityModel:
     """A wavelet family plus coefficients, evaluable as a density.
 
@@ -531,15 +580,25 @@ class DensityModel:
 
         Uses the separability of the tensor basis: one thin factor matrix
         per axis and per stored block, contracted against the dense
-        coefficient array.  Output shape is (len(axes[0]), ..., len(axes[d-1])).
+        coefficient array.  The factors are cut from per-axis columns cached
+        by (level, father/mother, axis), which every model on the same grid
+        shares.  Output shape is (len(axes[0]), ..., len(axes[d-1])).
         """
         d = self.d
         if len(axes) != d:
             raise ValueError(f"expected {d} axis arrays, got {len(axes)}")
         out = np.zeros(tuple(len(ax) for ax in axes))
+        keys = [np.ascontiguousarray(ax, dtype=float).tobytes() for ax in axes]
+        order, r = self.family.order, self.family.dyadic_resolution
         for (j, q), (zmin, dense) in self.coefficients.blocks.items():
             tensor = dense
-            for factor in _axis_factors(self.family, j, q, zmin, dense.shape, axes):
+            for a, key in enumerate(keys):
+                zlo, columns = _grid_columns(order, r, j, bool((q >> a) & 1), key)
+                # the block's translates, with +0.0 where no column is stored
+                factor = np.zeros((len(columns), dense.shape[a]))
+                lo = int(zmin[a]) - zlo
+                c0, c1 = (min(max(c, 0), columns.shape[1]) for c in (lo, lo + dense.shape[a]))
+                factor[:, c0 - lo : c1 - lo] = columns[:, c0:c1]
                 tensor = np.tensordot(tensor, factor, axes=([0], [1]))
             out += 2.0 ** (d * j / 2.0) * tensor
         return out

@@ -54,20 +54,22 @@ def knn_stats(points, k: int) -> NeighborStats:
     points, so exact ties (including duplicated points) are handled by
     multiset rank and the result does not depend on point ordering.
     """
-    pts = as_points(points)
+    return _knn_stats(as_points(points), [k])[0]
+
+
+def _knn_stats(pts: np.ndarray, ks) -> list[NeighborStats]:
+    """``knn_stats`` at every k in ``ks`` from one k-d tree query."""
     n, d = pts.shape
     if n < 2:
         raise EstimationError(f"need at least 2 points for a neighbour query, got {n}")
-    if not 1 <= k <= n - 1:
-        raise EstimationError(f"k must satisfy 1 <= k <= n - 1, got k={k}, n={n}")
-    tree = cKDTree(pts)
-    # query k+1 including self; dropping the closest zero leaves the k-th
-    # order statistic among the other points, ties included
-    dist, _ = tree.query(pts, k=k + 1)
-    radii = dist[:, k].astype(float)
+    for k in ks:
+        if not 1 <= k <= n - 1:
+            raise EstimationError(f"k must satisfy 1 <= k <= n - 1, got k={k}, n={n}")
+    # query the (k+1)-th nearest including self: dropping the closest zero
+    # leaves the k-th order statistic among the other points, ties included
+    dist, _ = cKDTree(pts).query(pts, k=[k + 1 for k in ks])
     c0 = unit_ball_volume(d)
-    volumes = c0 * radii**d
-    return NeighborStats(k=k, radii=radii, volumes=volumes, unit_ball=c0)
+    return [NeighborStats(k=k, radii=r, volumes=c0 * r**d, unit_ball=c0) for k, r in zip(ks, dist.T.copy())]
 
 
 class KCondition(NamedTuple):

@@ -33,7 +33,7 @@ from .errors import ConfigurationError, DataError, EstimationError, KConsistency
 from .estimator import (
     DensityModel,
     EstimatorConfig,
-    estimate_coefficients,
+    estimate_coefficient_sets,
     normalize,
     truncate_details,
 )
@@ -395,14 +395,20 @@ def _replicate_cell(spec, config, n, replication, truth_values, grid):
         dyadic_resolution=config.dyadic_resolution,
     )
     if SHAPE_PRESERVING in config.estimators:
-        for k in config.k_values:
+        # one neighbour query and one basis design for every k the sample
+        # supports; each other k fails alone, with the message of its own fit
+        valid = [k for k in config.k_values if k < n]
+        groups = ([valid] if valid else []) + [[k] for k in config.k_values if k >= n]
+        for ks in groups:
             try:
-                raw = estimate_coefficients(points, dataclasses.replace(base, k=k))
+                raws = estimate_coefficient_sets(points, base, ks)
             except EstimationError as exc:
-                for J in config.J_values:
-                    out[(J, k, SHAPE_PRESERVING)] = (None, None, 0.0, str(exc))
+                for k in ks:
+                    for J in config.J_values:
+                        out[(J, k, SHAPE_PRESERVING)] = (None, None, 0.0, str(exc))
                 continue
-            eval_rows(raw, k, SHAPE_PRESERVING)
+            for k, raw in zip(ks, raws):
+                eval_rows(raw, k, SHAPE_PRESERVING)
     if CLASSICAL in config.estimators:
         try:
             raw = classical_coefficients(points, base)
@@ -436,8 +442,11 @@ def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> Benchm
 
     Replications are independent tasks keyed by their own RNG substream and
     reduced in fixed order; a failing row is marked rather than aborting the
-    sweep.
+    sweep.  ``workers`` is the thread count (None: the executor's default;
+    1: serial).
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cached_family(config.wavelet_order, config.dyadic_resolution)
     rows: list[BenchRow] = []
     for density in config.densities:

@@ -55,7 +55,7 @@ def coefficient_sums(points, weights, config):
     blocks = {}
     for j in range(config.j0, max(config.J, config.j0) + 1):
         qs = ([0] if j == config.j0 else []) + (details if j <= config.J else [])
-        blocks.update(estimator._accumulate_level(family, snapped, qs, weights, j))
+        blocks.update(estimator._accumulate_level(family, snapped, qs, weights[None], j)[0])
     return blocks_to_entries(blocks)
 
 

@@ -350,6 +350,12 @@ class TestBench:
         cpath.write_text('{"bogus": true}')
         assert main(["bench", str(cpath), "-o", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_are_a_usage_error(self, tmp_path, threads):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "config.json", "-o", str(tmp_path / "r.json"), "--threads", threads])
+        assert info.value.code == 1
+
 
 class TestCheck:
     def test_wavelet_suite_passes(self, capsys):
@@ -363,6 +369,17 @@ class TestCheck:
 
     def test_stochastic_suite_needs_seed(self):
         assert main(["check", "exp-law"]) == 1
+
+    def test_numpy_warnings_reach_the_caller(self, monkeypatch):
+        def warning_suite():
+            warnings.warn("overflow in a numpy kernel", RuntimeWarning)
+            warnings.warn("k is large", KConsistencyWarning)
+            return True
+
+        monkeypatch.setattr(cli, "_suite_wavelet", warning_suite)
+        with pytest.warns(RuntimeWarning, match="overflow") as record:
+            assert main(["check", "wavelet"]) == 0
+        assert not any(issubclass(w.category, KConsistencyWarning) for w in record)
 
 
 class TestWaveletTable:

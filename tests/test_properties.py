@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from wavedens.estimator import (
     CoefficientSet,
     EstimatorConfig,
+    estimate_coefficient_sets,
     estimate_coefficients,
     fit_model,
     normalization_mass,
@@ -100,3 +101,11 @@ def test_blocks_are_sorted_trimmed_and_rebuilt_from_entries(fit):
                 assert nonzero[0] and nonzero[-1]
         meta = {f.name: getattr(cs, f.name) for f in dataclasses.fields(cs) if f.name != "blocks"}
         assert CoefficientSet.from_entries(cs.entries, **meta) == cs
+
+
+@PROPERTY
+@given(fits(), st.lists(st.integers(1, 7), min_size=1, max_size=4))
+def test_batch_equals_one_k_calls(fit, ks):
+    points, config = fit
+    expected = [estimate_coefficients(points, dataclasses.replace(config, k=k)) for k in ks]
+    assert estimate_coefficient_sets(points, config, ks) == expected

@@ -249,13 +249,13 @@ class TestBenchmark:
         assert len(lines) == 2 + 2  # comment, header, one line per (J, k) cell
 
     def test_only_the_k_warning_is_silenced(self, monkeypatch):
-        real_estimate = simulation.estimate_coefficients
+        real_estimate = simulation.estimate_coefficient_sets
 
-        def overflowing_estimate(points, config):
+        def overflowing_estimate(points, config, ks):
             warnings.warn("overflow in a numpy kernel", RuntimeWarning)
-            return real_estimate(points, config)
+            return real_estimate(points, config, ks)
 
-        monkeypatch.setattr(simulation, "estimate_coefficients", overflowing_estimate)
+        monkeypatch.setattr(simulation, "estimate_coefficient_sets", overflowing_estimate)
         # k=8 at n=32 fails the consistency check, so every fit raises the k warning
         config = BenchmarkConfig(
             densities=("uniform",), sample_sizes=(32,), replications=1, J_values=(0,),
@@ -268,13 +268,13 @@ class TestBenchmark:
         assert not any(issubclass(w.category, KConsistencyWarning) for w in record)
 
     def test_k_warning_filter_is_thread_safe(self, monkeypatch):
-        real_estimate = simulation.estimate_coefficients
+        real_estimate = simulation.estimate_coefficient_sets
 
-        def overflowing_estimate(points, config):
+        def overflowing_estimate(points, config, ks):
             warnings.warn("overflow in a numpy kernel", RuntimeWarning)
-            return real_estimate(points, config)
+            return real_estimate(points, config, ks)
 
-        monkeypatch.setattr(simulation, "estimate_coefficients", overflowing_estimate)
+        monkeypatch.setattr(simulation, "estimate_coefficient_sets", overflowing_estimate)
         # every fit raises the k warning (k >= 8 at n=32); a filter entered in
         # a worker thread and left early would let some of them through
         config = BenchmarkConfig(
@@ -292,7 +292,8 @@ class TestBenchmark:
         finally:
             sys.setswitchinterval(interval)
         assert not any(issubclass(w.category, KConsistencyWarning) for w in record)
-        assert sum(issubclass(w.category, RuntimeWarning) for w in record) == 20 * 8 * 4
+        # one estimation call per replication serves all four k
+        assert sum(issubclass(w.category, RuntimeWarning) for w in record) == 20 * 8
 
     def test_config_json_round_trip(self, tmp_path):
         config = BenchmarkConfig(seed=99)
@@ -305,6 +306,12 @@ class TestBenchmark:
         path.write_text('{"not_a_field": 1}')
         with pytest.raises(DataError):
             BenchmarkConfig.from_json(path)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_rejected(self, workers):
+        config = BenchmarkConfig(densities=("uniform",), sample_sizes=(32,), replications=1, J_values=(0,), k_values=(1,))
+        with pytest.raises(ValueError, match="workers"):
+            run_benchmark(config, workers=workers)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
