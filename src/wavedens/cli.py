@@ -8,6 +8,7 @@ stderr; data goes to the requested files or stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -106,19 +107,25 @@ def _provenance(args, seed=None) -> dict:
     return {**software_versions(), "flags": flags, "seed": seed}
 
 
-def _write_field_csv(path_or_handle, centers, columns, header, provenance_line):
-    own = isinstance(path_or_handle, str)
-    handle = open(path_or_handle, "w", encoding="utf-8") if own else path_or_handle
-    try:
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout when no path is
+    given; only a file opened here is closed."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        yield handle
+
+
+def _write_field_csv(path, centers, columns, header, provenance_line):
+    with _output(path) as handle:
         handle.write(provenance_line + "\n")
         handle.write(header + "\n")
         for i in range(centers.shape[0]):
             coords = ",".join(repr(float(c)) for c in centers[i])
             vals = ",".join(repr(float(col[i])) for col in columns)
             handle.write(f"{coords},{vals}\n")
-    finally:
-        if own:
-            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +210,8 @@ def cmd_eval(args) -> int:
     if affine is not None:
         f_vals = f_vals * affine.jacobian
     header = ",".join(f"x{a + 1}" for a in range(model.d)) + ",g,f"
-    target = args.output if args.output else sys.stdout
     _write_field_csv(
-        target, pts, [g_vals, f_vals], header,
+        args.output, pts, [g_vals, f_vals], header,
         f"# wavedens {__version__} eval; model={args.coefficients}",
     )
     if args.output:
@@ -358,10 +364,7 @@ def cmd_check(args) -> int:
 def cmd_wavelet_table(args) -> int:
     family = build_family(args.wavelet, args.resolution)
     step = 2.0 ** -family.dyadic_resolution
-    target = args.output if args.output else sys.stdout
-    own = isinstance(target, str)
-    handle = open(target, "w", encoding="utf-8") if own else target
-    try:
+    with _output(args.output) as handle:
         handle.write(f"# wavedens {__version__} wavelet-table db{args.wavelet} r={args.resolution}\n")
         handle.write("x,phi,psi\n")
         for i in range(family.father_table.size):
@@ -369,26 +372,17 @@ def cmd_wavelet_table(args) -> int:
                 f"{repr(i * step)},{repr(float(family.father_table[i]))},"
                 f"{repr(float(family.mother_table[i]))}\n"
             )
-    finally:
-        if own:
-            handle.close()
     return 0
 
 
 def _knn_audit(args) -> int:
     points = read_points_csv(args.points, args.dim)
     stats = knn_stats(points, args.k)
-    target = args.output if args.output else sys.stdout
-    own = isinstance(target, str)
-    handle = open(target, "w", encoding="utf-8") if own else target
-    try:
+    with _output(args.output) as handle:
         handle.write(f"# wavedens {__version__} check knn; k={args.k}\n")
         handle.write("index,radius,volume\n")
         for i in range(points.shape[0]):
             handle.write(f"{i},{repr(float(stats.radii[i]))},{repr(float(stats.volumes[i]))}\n")
-    finally:
-        if own:
-            handle.close()
     return 0
 
 

@@ -356,53 +356,61 @@ def truncate_details(coeffs: CoefficientSet, new_J: int) -> CoefficientSet:
     return dataclasses.replace(coeffs, blocks=blocks, J=new_J, normalized=False)
 
 
-def _tensor_filter(family: WaveletFamily, d: int, q: int) -> np.ndarray:
-    taps_h = family.lowpass
-    taps_g = family.highpass
-    filt = np.array([1.0])
-    for a in range(d):
-        axis = taps_g if (q >> a) & 1 else taps_h
-        filt = np.multiply.outer(filt, axis)
-    return filt.reshape((taps_h.size,) * d) if d > 0 else filt
+def _axis_step(zmin, block, taps, axis: int, *, synthesis: bool):
+    """One filter-bank step along one axis of a block whose entry i holds
+    translate zmin + i; returns the new (zmin, block).
+
+    Analysis gives coarse[c] = sum_t taps[t] * fine[2c + t] for every c the
+    block reaches, c in [ceil((zmin - (2p-1))/2), floor(zmax/2)]; synthesis
+    is its transpose, fine[m] = sum over 2c + t = m of taps[t] * coarse[c].
+    """
+    x = np.moveaxis(block, axis, 0)
+    z = int(zmin[axis])
+    lo = 2 * z if synthesis else -((len(taps) - 1 - z) // 2)
+    m = len(x) if synthesis else (z + len(x) - 1) // 2 - lo + 1  # coarse length
+    # fine translates 2 * lo + [0, 2m + 2p - 2): every 2c + t of the coarse range
+    fine = np.zeros((2 * m + len(taps) - 2,) + x.shape[1:])
+    if synthesis:
+        for t, h in enumerate(taps):
+            fine[t : t + 2 * m : 2] += h * x
+        out = fine
+    else:
+        fine[z - 2 * lo : z - 2 * lo + len(x)] = x
+        out = sum(h * fine[t : t + 2 * m : 2] for t, h in enumerate(taps))
+    zmin = zmin.copy()
+    zmin[axis] = lo
+    return zmin, np.moveaxis(out, 0, axis)
 
 
 def to_single_trend(coeffs: CoefficientSet, family: WaveletFamily) -> CoefficientSet:
     """Synthesize the equivalent single-trend representation at level J+1.
 
     Repeatedly applies the synthesis relation trend[j+1, m] =
-    sum_q sum_z c^q[m - 2z] coef^q[j, z]; the reconstruction is unchanged.
+    sum_q sum_z c^q[m - 2z] coef^q[j, z] one axis at a time (bit a of q
+    selects the high-pass filter on axis a); the reconstruction is unchanged.
     """
     if coeffs.representation == SINGLE_TREND:
         return coeffs
-    d = coeffs.d
-    taps = 2 * family.order
     blocks = coeffs.blocks
+    filters = (family.lowpass, family.highpass)
     trend = blocks.get((coeffs.j0, 0))
     for j in range(coeffs.j0, coeffs.J + 1):
-        level_blocks = [(0, trend)] if trend is not None else []
-        for q in range(1, 1 << d):
-            if (j, q) in blocks:
-                level_blocks.append((q, blocks[(j, q)]))
-        if not level_blocks:
+        level = ([(0, trend)] if trend is not None else []) + [
+            (q, blocks[(j, q)]) for q in range(1, 1 << coeffs.d) if (j, q) in blocks
+        ]
+        if not level:
             trend = None
             continue
-        fmin = np.min([2 * zmin for _, (zmin, _) in level_blocks], axis=0)
-        fmax = np.max(
-            [2 * (zmin + np.array(dense.shape) - 1) + taps - 1 for _, (zmin, dense) in level_blocks],
-            axis=0,
-        )
-        shape = tuple(fmax - fmin + 1)
-        fine = np.zeros(int(np.prod(shape)))
-        combos = np.indices((taps,) * d).reshape(d, -1)
-        for q, (zmin, dense) in level_blocks:
-            filt = _tensor_filter(family, d, q).ravel()
-            cell_idx = np.indices(dense.shape).reshape(d, -1)
-            z_abs = cell_idx + zmin[:, None]
-            target = 2 * z_abs[:, :, None] + combos[:, None, :] - fmin[:, None, None]
-            lin = np.ravel_multi_index(tuple(target), shape)
-            contrib = dense.ravel()[:, None] * filt[None, :]
-            np.add.at(fine, lin.ravel(), contrib.ravel())
-        trend = (fmin, fine.reshape(shape))
+        # the box of every synthesized block: 2 * zmin + [0, 2 * shape + 2p - 2)
+        fmin = np.min([2 * zmin for _, (zmin, _) in level], axis=0)
+        fmax = np.max([2 * (zmin + dense.shape) + len(filters[0]) - 2 for _, (zmin, dense) in level], axis=0)
+        fine = np.zeros(tuple(fmax - fmin))
+        for q, block in level:
+            for a in range(coeffs.d):
+                block = _axis_step(*block, filters[(q >> a) & 1], a, synthesis=True)
+            zmin, dense = block
+            fine[tuple(slice(lo, lo + s) for lo, s in zip(zmin - fmin, dense.shape))] += dense
+        trend = (fmin, fine)
     blocks = _trimmed({(coeffs.J + 1, 0): trend} if trend is not None else {})
     return dataclasses.replace(coeffs, blocks=blocks, representation=SINGLE_TREND)
 
@@ -410,38 +418,24 @@ def to_single_trend(coeffs: CoefficientSet, family: WaveletFamily) -> Coefficien
 def dilation_coefficients(fine: CoefficientSet, family: WaveletFamily) -> CoefficientSet:
     """Filter a single-trend set at level j+1 down to trend and details at j.
 
-    This is the analysis half of the filter bank; it reproduces direct
-    estimation at the coarse level entry by entry (to float precision).
+    This is the analysis half of the filter bank, split axis by axis into
+    low- and high-pass halves (bit a of q is the high-pass half on axis a);
+    it reproduces direct estimation at the coarse level entry by entry (to
+    float precision).
     """
     if fine.representation != SINGLE_TREND:
         raise RepresentationError("dilation_coefficients expects a single-trend set")
-    d = fine.d
-    level_fine = fine.J + 1
-    coarse_level = level_fine - 1
-    taps = 2 * family.order
-    blocks = fine.blocks
-    out_blocks = {}
-    if (level_fine, 0) in blocks:
-        zmin_f, dense_f = blocks[(level_fine, 0)]
-        zmax_f = zmin_f + np.array(dense_f.shape) - 1
-        cmin = -((-(zmin_f - (taps - 1))) // 2)
-        cmax = zmax_f // 2
-        cshape = tuple(np.maximum(cmax - cmin + 1, 0))
-        if all(s > 0 for s in cshape):
-            combos = np.indices((taps,) * d).reshape(d, -1)
-            cell_idx = np.indices(cshape).reshape(d, -1)
-            z_abs = cell_idx + cmin[:, None]
-            src = 2 * z_abs[:, :, None] + combos[:, None, :] - zmin_f[:, None, None]
-            # zero padding of taps per side covers every out-of-block source
-            padded = np.pad(dense_f, taps)
-            gathered = padded.ravel()[np.ravel_multi_index(tuple(src + taps), padded.shape)]
-            for q in range(1 << d):
-                filt = _tensor_filter(family, d, q).ravel()
-                coarse = gathered @ filt
-                out_blocks[(coarse_level, q)] = (cmin.copy(), coarse.reshape(cshape))
+    coarse_level = fine.J
+    parts = {0: fine.blocks[(coarse_level + 1, 0)]} if (coarse_level + 1, 0) in fine.blocks else {}
+    for a in range(fine.d):
+        parts = {
+            q | bit << a: _axis_step(*block, taps, a, synthesis=False)
+            for q, block in parts.items()
+            for bit, taps in enumerate((family.lowpass, family.highpass))
+        }
     return dataclasses.replace(
         fine,
-        blocks=_trimmed(out_blocks),
+        blocks=_trimmed({(coarse_level, q): block for q, block in parts.items()}),
         j0=coarse_level,
         J=coarse_level,
         representation=TREND_DETAILS,
@@ -715,6 +709,8 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
         entries: dict[BasisIndex, float] = {}
         for item in doc["entries"]:
             key = BasisIndex(int(item["j"]), tuple(int(c) for c in item["z"]), int(item["q"]))
+            if key in entries:
+                raise DataError(f"{path}: entry {key} appears more than once")
             entries[key] = float(item["value"])
         meta = dict(
             d=int(doc["d"]),

@@ -5,8 +5,11 @@ every operation worked on a ``dict[BasisIndex, float]`` in (level,
 orientation, translate) order and rebuilt dense blocks where it needed them.
 These are those implementations, with the same arithmetic; the block
 representation must reproduce their entries bit for bit, in the same order.
-The scatter kernel, the tensor filters and the per-axis factor matrices are
-shared with the package, since the representation change does not touch them.
+The scatter kernel and the per-axis factor matrices are shared with the
+package, since the representation change does not touch them.  The level
+transforms keep the d-variate tensor form, one gather or scatter over
+cells x (2p)^d with filters from the scalar oracle ``refinement_coefficients``,
+as the reference for the package's one-axis filter passes.
 """
 
 import math
@@ -15,7 +18,7 @@ import numpy as np
 
 from wavedens import estimator
 from wavedens.neighbors import knn_stats
-from wavedens.wavelets import BasisIndex, cached_family
+from wavedens.wavelets import BasisIndex, cached_family, refinement_coefficients
 
 
 def sorted_entries(raw):
@@ -98,6 +101,10 @@ def truncate(entries, new_J):
     return {key: val for key, val in entries.items() if key.orientation == 0 or key.level <= new_J}
 
 
+def tensor_filter(family, d, q):
+    return np.fromiter(refinement_coefficients(family, d, q).values(), float)
+
+
 def to_single_trend(entries, d, j0, J, family):
     taps = 2 * family.order
     blocks = entries_to_blocks(entries)
@@ -117,7 +124,7 @@ def to_single_trend(entries, d, j0, J, family):
         fine = np.zeros(int(np.prod(shape)))
         combos = np.indices((taps,) * d).reshape(d, -1)
         for q, (zmin, dense) in level_blocks:
-            filt = estimator._tensor_filter(family, d, q).ravel()
+            filt = tensor_filter(family, d, q)
             z_abs = np.indices(dense.shape).reshape(d, -1) + zmin[:, None]
             target = 2 * z_abs[:, :, None] + combos[:, None, :] - fmin[:, None, None]
             lin = np.ravel_multi_index(tuple(target), shape)
@@ -143,7 +150,7 @@ def dilation(entries, d, J, family):
             padded = np.pad(dense_f, taps)
             gathered = padded.ravel()[np.ravel_multi_index(tuple(src + taps), padded.shape)]
             for q in range(1 << d):
-                coarse = gathered @ estimator._tensor_filter(family, d, q).ravel()
+                coarse = gathered @ tensor_filter(family, d, q)
                 out_blocks[(J, q)] = (cmin.copy(), coarse.reshape(cshape))
     return blocks_to_entries(out_blocks)
 

@@ -1,5 +1,7 @@
 """Coefficient sets stored as dense per-(level, orientation) blocks reproduce
-the dict-keyed operations of ``dict_oracle`` bit for bit, keys in order."""
+the dict-keyed operations of ``dict_oracle`` bit for bit, keys in order; the
+level transforms, which filter one axis at a time, agree with the oracle's
+tensor filters to rounding."""
 
 import math
 
@@ -33,11 +35,10 @@ CASES = pytest.mark.parametrize(
 
 
 def fitted(d, order, kind):
-    """A raw coefficient set and the oracle's entries for the same sample;
-    d = 3 db6 is trend-only, since its synthesis alone takes seconds."""
+    """A raw coefficient set and the oracle's entries for the same sample."""
     rng = np.random.default_rng(100 * d + order)
     pts = rng.random((120 if d < 3 else 60, d))
-    J = 1 if d < 3 else (0 if order < 6 else -1)
+    J = 1 if d < 3 else 0
     cfg = EstimatorConfig(wavelet_order=order, j0=0, J=J, k=2, normalize=False)
     if kind == "cl":
         return pts, cfg, classical_coefficients(pts, cfg), oracle.classical(pts, cfg)
@@ -46,6 +47,13 @@ def fitted(d, order, kind):
 
 def assert_same(cs, expected):
     assert list(cs.entries.items()) == list(expected.items())
+
+
+def assert_close(cs, expected, rel=1e-13):
+    """Entries within rel * max|c| over the union of keys."""
+    scale = max(map(abs, expected.values()))
+    for key in cs.entries.keys() | expected.keys():
+        assert abs(cs.entries.get(key, 0.0) - expected.get(key, 0.0)) <= rel * scale
 
 
 @CASES
@@ -86,11 +94,16 @@ def test_truncate_details(d, order, kind):
 @CASES
 def test_single_trend_then_dilation(d, order, kind):
     _, cfg, cs, raw = fitted(d, order, kind)
+    J = cfg.J
+    if d == 3 and order == 6:
+        # the oracle's tensor gather of the detail level peaks near 1 GiB
+        J = cfg.j0 - 1
+        cs, raw = truncate_details(cs, J), oracle.truncate(raw, J)
     family = cached_family(order, cfg.dyadic_resolution)
     single = to_single_trend(cs, family)
-    expected = oracle.to_single_trend(raw, d, cfg.j0, cfg.J, family)
-    assert_same(single, expected)
-    assert_same(dilation_coefficients(single, family), oracle.dilation(expected, d, cfg.J, family))
+    expected = oracle.to_single_trend(raw, d, cfg.j0, J, family)
+    assert_close(single, expected)
+    assert_close(dilation_coefficients(single, family), oracle.dilation(expected, d, J, family))
 
 
 @CASES

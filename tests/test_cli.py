@@ -258,6 +258,10 @@ def set_header(field, value):
     return mutate
 
 
+def repeat_first_entry(doc):
+    doc["entries"].append({**doc["entries"][0], "value": 123.0})
+
+
 def lift_last_detail(doc):
     # the fixture fits J=1, so a detail entry at level 2 has no place
     doc["entries"][-1]["j"] = doc["J"] + 1
@@ -276,10 +280,11 @@ class TestEvalRejectsBadCoefficientFiles:
             (set_first_entry("j", 1), "outside the levels"),
             (set_header("wavelet_order", 11), "wavelet order"),
             (set_header("wavelet_order", 0), "wavelet order"),
+            (repeat_first_entry, "appears more than once"),
         ],
         ids=[
             "z-length", "q-above-range", "q-negative", "nan-value", "inf-value",
-            "detail-above-J", "trend-off-j0", "order-11", "order-0",
+            "detail-above-J", "trend-off-j0", "order-11", "order-0", "duplicate-entry",
         ],
     )
     def test_exits_2(self, uniform_csv, tmp_path, capsys, mutate, message):

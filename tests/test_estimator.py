@@ -284,6 +284,41 @@ class TestFilterBank:
         b = DensityModel(fam, st).reconstruct_on_axes([centers, centers])
         assert np.max(np.abs(a - b)) < 1e-9
 
+    @pytest.mark.parametrize("order", [2, 6])
+    def test_direct_equals_filtered_d3_with_details(self, order):
+        pts = np.random.default_rng(12).random((100, 3))
+        # on axis 0 the fine block then starts at an odd translate, where the
+        # lowest coarse translate takes only the last filter tap
+        pts[:, 0] = 0.3 + 0.7 * pts[:, 0]
+        fam = cached_family(order, 10)
+        direct = estimate_coefficients(
+            pts, EstimatorConfig(wavelet_order=order, j0=1, J=1, k=1, normalize=False)
+        )
+        fine = estimate_coefficients(
+            pts, EstimatorConfig(wavelet_order=order, j0=2, J=1, k=1, normalize=False)
+        )
+        filtered = dilation_coefficients(to_single_trend(fine, fam), fam)
+        assert {key.orientation for key in direct.entries} == set(range(8))
+        for key in set(direct.entries) | set(filtered.entries):
+            assert abs(direct.entries.get(key, 0.0) - filtered.entries.get(key, 0.0)) < 1e-10
+
+    def test_level_transform_memory_is_bounded(self):
+        # a tensor filter over cells x 12**3 taps would peak at hundreds of MiB here
+        pts = np.random.default_rng(13).random((60, 3))
+        fam = cached_family(6, 10)
+        cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=6, j0=0, J=0, k=1, normalize=False))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single, synthesis_peak = peak(lambda: to_single_trend(cs, fam))
+        _, analysis_peak = peak(lambda: dilation_coefficients(single, fam))
+        assert synthesis_peak < 16 << 20 and analysis_peak < 16 << 20
+
     def test_dilation_requires_single_trend(self):
         fam = cached_family(1, 10)
         with pytest.raises(RepresentationError):

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from wavedens.estimator import (
     CoefficientSet,
     EstimatorConfig,
+    dilation_coefficients,
     estimate_coefficient_sets,
     estimate_coefficients,
     fit_model,
@@ -109,3 +110,18 @@ def test_batch_equals_one_k_calls(fit, ks):
     points, config = fit
     expected = [estimate_coefficients(points, dataclasses.replace(config, k=k)) for k in ks]
     assert estimate_coefficient_sets(points, config, ks) == expected
+
+
+@PROPERTY
+@given(fits())
+def test_synthesis_then_analysis_is_the_identity(fit):
+    points, config = fit
+    cs = estimate_coefficients(points, dataclasses.replace(config, J=config.j0))
+    family = cached_family(config.wavelet_order, config.dyadic_resolution)
+    single = to_single_trend(cs, family)
+    mass = normalization_mass(cs)
+    assert abs(normalization_mass(single) - mass) <= 1e-12 * mass
+    back = dilation_coefficients(single, family).entries
+    scale = max(map(abs, cs.entries.values()))
+    for key in cs.entries.keys() | back.keys():
+        assert abs(cs.entries.get(key, 0.0) - back.get(key, 0.0)) <= 1e-12 * scale
