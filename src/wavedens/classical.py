@@ -17,12 +17,11 @@ from .estimator import (
     CoefficientSet,
     DensityModel,
     EstimatorConfig,
+    _check_in_unit_cube,
     _coefficient_sums,
-    domain_box,
 )
 from .metrics import GridSpec, grid_eval, mass
 from .neighbors import as_points
-from .wavelets import cached_family
 
 
 def classical_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
@@ -32,12 +31,7 @@ def classical_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
     n, d = pts.shape
     if n < 1:
         raise EstimationError("need at least one point")
-    box = domain_box(config, d)
-    if np.any(pts < box[:, 0]) or np.any(pts > box[:, 1]):
-        raise EstimationError(
-            "points fall outside the configured domain; "
-            "rescale them first with rescale_to_domain"
-        )
+    _check_in_unit_cube(pts)
     sums = _coefficient_sums(pts, np.ones((1, n)), config)[0]
     return CoefficientSet(
         blocks={key: (zmin, dense / n) for key, (zmin, dense) in sums.items()},
@@ -50,14 +44,11 @@ def classical_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
         normalized=False,
         representation="trend-plus-details",
         kind="classical",
-        dyadic_resolution=config.dyadic_resolution,
     )
 
 
 def fit_classical(points, config: EstimatorConfig) -> DensityModel:
-    coeffs = classical_coefficients(points, config)
-    family = cached_family(config.wavelet_order, config.dyadic_resolution)
-    return DensityModel(family, coeffs)
+    return DensityModel(classical_coefficients(points, config))
 
 
 def classical_density_at(model: DensityModel, x) -> float:
@@ -76,4 +67,4 @@ def rescale_classical(model: DensityModel, grid: GridSpec) -> DensityModel:
         raise DegenerateModelError(f"grid-integrated mass {total} is not positive")
     blocks = {key: (zmin, dense / total) for key, (zmin, dense) in model.coefficients.blocks.items()}
     coeffs = dataclasses.replace(model.coefficients, blocks=blocks, normalized=True)
-    return DensityModel(model.family, coeffs)
+    return DensityModel(coeffs)

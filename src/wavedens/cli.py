@@ -281,7 +281,6 @@ def _suite_dilation(seed: int) -> bool:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for order in (2, 6):
-        fam = cached_family(order, 10)
         for _ in range(10):
             pts = rng.random((200, 2))
             direct = estimate_coefficients(
@@ -290,7 +289,7 @@ def _suite_dilation(seed: int) -> bool:
             fine = estimate_coefficients(
                 pts, EstimatorConfig(wavelet_order=order, j0=3, J=2, k=1, normalize=False)
             )
-            filtered = dilation_coefficients(to_single_trend(fine, fam), fam)
+            filtered = dilation_coefficients(to_single_trend(fine))
             keys = set(direct.entries) | set(filtered.entries)
             worst = max(
                 worst,

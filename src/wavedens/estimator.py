@@ -40,7 +40,7 @@ from .errors import (
     RepresentationError,
 )
 from .neighbors import _knn_stats, as_points, validate_k
-from .wavelets import MAX_ORDER, BasisIndex, WaveletFamily, cached_family, _table_at
+from .wavelets import DEFAULT_RESOLUTION, MAX_ORDER, BasisIndex, WaveletFamily, cached_family, _table_at
 
 TREND_DETAILS = "trend-plus-details"
 SINGLE_TREND = "single-trend"
@@ -50,17 +50,16 @@ SCHEMA_VERSION = 1
 # bytes of per-row intermediates that coefficient estimation and point
 # reconstruction each hold at once; estimation adds the chunks in point order,
 # so its sums are the same bits for any chunk size
-_CHUNK_BYTES = 64 << 20
+_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class EstimatorConfig:
     """Configuration of one fit.
 
-    J = j0 - 1 requests the trend-only estimator.  ``domain`` is an
-    axis-aligned box as a (d, 2) array of (low, high) pairs; None means the
-    unit cube.  ``threshold_constant`` switches on soft thresholding of the
-    detail coefficients before normalization.
+    J = j0 - 1 requests the trend-only estimator.  The points must lie in
+    the unit cube.  ``threshold_constant`` switches on soft thresholding of
+    the detail coefficients before normalization.
     """
 
     wavelet_order: int = 6
@@ -69,8 +68,6 @@ class EstimatorConfig:
     k: int = 1
     normalize: bool = True
     threshold_constant: float | None = None
-    domain: np.ndarray | None = None
-    dyadic_resolution: int = 10
 
     def __post_init__(self):
         if self.J < self.j0 - 1:
@@ -91,7 +88,7 @@ class CoefficientSet:
     BasisIndex view of the nonzeros, and ``from_entries`` builds a set from
     such a map.  ``representation`` is either trend-plus-details (father
     block at j0, detail blocks at j0..J) or single-trend (father block at
-    J+1 only).
+    J+1 only).  The basis is the Daubechies family of ``wavelet_order``.
     """
 
     blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -104,7 +101,6 @@ class CoefficientSet:
     normalized: bool
     representation: str
     kind: str = "shape-preserving"
-    dyadic_resolution: int = 10
 
     @classmethod
     def from_entries(cls, entries: dict[BasisIndex, float], **meta) -> "CoefficientSet":
@@ -121,6 +117,12 @@ class CoefficientSet:
             dense[tuple((zs - zmin).T)] = [val for _, val in items]
             blocks[key] = (zmin, dense)
         return cls(blocks=_trimmed(blocks), **meta)
+
+    @property
+    def family(self) -> WaveletFamily:
+        """The wavelet family of the set's basis, with its tables at the
+        fixed dyadic resolution."""
+        return cached_family(self.wavelet_order, DEFAULT_RESOLUTION)
 
     @functools.cached_property
     def entries(self) -> MappingProxyType:
@@ -163,15 +165,13 @@ def consistency_factor(k: int) -> float:
     return float(math.exp(gammaln(k) - gammaln(k + 0.5)))
 
 
-def domain_box(config: EstimatorConfig, d: int) -> np.ndarray:
-    if config.domain is None:
-        return np.column_stack([np.zeros(d), np.ones(d)])
-    box = np.asarray(config.domain, dtype=float)
-    if box.shape != (d, 2):
-        raise ValueError(f"domain must have shape ({d}, 2), got {box.shape}")
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("domain box has a non-positive side")
-    return box
+def _check_in_unit_cube(pts: np.ndarray) -> None:
+    """Raise EstimationError unless every point lies in the closed unit cube."""
+    if np.any(pts < 0.0) or np.any(pts > 1.0):
+        raise EstimationError(
+            "points fall outside the unit cube; "
+            "rescale them first with rescale_to_domain"
+        )
 
 
 def snap_to_dyadic(points: np.ndarray, resolution: int) -> np.ndarray:
@@ -204,9 +204,9 @@ def _accumulate_level(family, snapped, qs, weights, j):
     """Scatter-add weighted tensor basis values into dense per-q blocks, chunk
     by chunk, for every row of the (m, n) ``weights``; returns m block maps.
 
-    The band-table gather and the flat indices of a chunk are shared by all
-    rows, and each row's products and sums keep the arithmetic of a one-row
-    call."""
+    The band-table gather, the flat indices and the tensor products of a
+    chunk are shared by all rows, and each row's weighted products and sums
+    keep the arithmetic of a one-row call."""
     n, d = snapped.shape
     width = family.support_length
     # the band start is monotone in each coordinate, so the extreme points bound it
@@ -220,19 +220,18 @@ def _accumulate_level(family, snapped, qs, weights, j):
         z_base, fvals, mvals = _band_table_values(family, snapped[start : start + rows], j)
         lin = (np.ravel_multi_index(tuple((z_base - zmin).T), shape)[:, None] + offs).ravel()
         for iq, q in enumerate(qs):
+            prod = (mvals if q & 1 else fvals)[:, 0]
+            for a in range(1, d):
+                u = mvals[:, a] if (q >> a) & 1 else fvals[:, a]
+                prod = (prod[:, :, None] * u[:, None, :]).reshape(len(u), -1)
             for sums, w in zip(dense[:, iq], weights):
-                prod = (mvals if q & 1 else fvals)[:, 0].copy()  # scaled in place below
-                for a in range(1, d):
-                    u = mvals[:, a] if (q >> a) & 1 else fvals[:, a]
-                    prod = (prod[:, :, None] * u[:, None, :]).reshape(len(u), -1)
-                prod *= (w[start : start + rows] * scale)[:, None]
-                np.add.at(sums, lin, prod.ravel())
+                np.add.at(sums, lin, (prod * (w[start : start + rows] * scale)[:, None]).ravel())
     return [{(j, q): (zmin, block.reshape(shape)) for q, block in zip(qs, level)} for level in dense]
 
 
 def _coefficient_sums(points, weights, config: EstimatorConfig):
     """Trimmed coefficient sums of every row of the (m, n) ``weights``."""
-    family = cached_family(config.wavelet_order, config.dyadic_resolution)
+    family = cached_family(config.wavelet_order, DEFAULT_RESOLUTION)
     snapped = snap_to_dyadic(points, family.dyadic_resolution)
     details = list(range(1, 1 << points.shape[1]))
     sums = [{} for _ in weights]
@@ -272,12 +271,7 @@ def _estimate_sets(points, config: EstimatorConfig, ks) -> list[CoefficientSet]:
     for k in ks:
         if k >= n:
             raise EstimationError(f"k={k} requires at least k+1={k + 1} points")
-    box = domain_box(config, d)
-    if np.any(pts < box[:, 0]) or np.any(pts > box[:, 1]):
-        raise EstimationError(
-            "points fall outside the configured domain; "
-            "rescale them first with rescale_to_domain"
-        )
+    _check_in_unit_cube(pts)
     for k in ks:
         verdict = validate_k(n, k)
         if not verdict.ok:
@@ -296,7 +290,6 @@ def _estimate_sets(points, config: EstimatorConfig, ks) -> list[CoefficientSet]:
             normalized=False,
             representation=TREND_DETAILS,
             kind="shape-preserving",
-            dyadic_resolution=config.dyadic_resolution,
         )
         for k, blocks in zip(ks, _coefficient_sums(pts, weights, config))
     ]
@@ -382,7 +375,7 @@ def _axis_step(zmin, block, taps, axis: int, *, synthesis: bool):
     return zmin, np.moveaxis(out, 0, axis)
 
 
-def to_single_trend(coeffs: CoefficientSet, family: WaveletFamily) -> CoefficientSet:
+def to_single_trend(coeffs: CoefficientSet) -> CoefficientSet:
     """Synthesize the equivalent single-trend representation at level J+1.
 
     Repeatedly applies the synthesis relation trend[j+1, m] =
@@ -392,7 +385,7 @@ def to_single_trend(coeffs: CoefficientSet, family: WaveletFamily) -> Coefficien
     if coeffs.representation == SINGLE_TREND:
         return coeffs
     blocks = coeffs.blocks
-    filters = (family.lowpass, family.highpass)
+    filters = (coeffs.family.lowpass, coeffs.family.highpass)
     trend = blocks.get((coeffs.j0, 0))
     for j in range(coeffs.j0, coeffs.J + 1):
         level = ([(0, trend)] if trend is not None else []) + [
@@ -415,7 +408,7 @@ def to_single_trend(coeffs: CoefficientSet, family: WaveletFamily) -> Coefficien
     return dataclasses.replace(coeffs, blocks=blocks, representation=SINGLE_TREND)
 
 
-def dilation_coefficients(fine: CoefficientSet, family: WaveletFamily) -> CoefficientSet:
+def dilation_coefficients(fine: CoefficientSet) -> CoefficientSet:
     """Filter a single-trend set at level j+1 down to trend and details at j.
 
     This is the analysis half of the filter bank, split axis by axis into
@@ -431,7 +424,7 @@ def dilation_coefficients(fine: CoefficientSet, family: WaveletFamily) -> Coeffi
         parts = {
             q | bit << a: _axis_step(*block, taps, a, synthesis=False)
             for q, block in parts.items()
-            for bit, taps in enumerate((family.lowpass, family.highpass))
+            for bit, taps in enumerate((fine.family.lowpass, fine.family.highpass))
         }
     return dataclasses.replace(
         fine,
@@ -462,19 +455,15 @@ class AffineMap:
         return float(np.prod(self.scale))
 
 
-def rescale_to_domain(points, target=None, padding: float = 0.0):
-    """Affinely map the data's (padded) bounding box onto the target box.
+def rescale_to_domain(points, padding: float = 0.0):
+    """Affinely map the data's (padded) bounding box onto the unit cube.
 
     Returns the transformed points and the affine record needed to undo the
     map or to back-transform densities with the Jacobian correction.
     """
     pts = as_points(points)
-    n, d = pts.shape
-    if n < 1:
+    if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    if target is None:
-        target = np.column_stack([np.zeros(d), np.ones(d)])
-    target = np.asarray(target, dtype=float)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = hi - lo
@@ -484,8 +473,9 @@ def rescale_to_domain(points, target=None, padding: float = 0.0):
     lo = lo - padding * span
     hi = hi + padding * span
     span = hi - lo
-    scale = (target[:, 1] - target[:, 0]) / span
-    offset = target[:, 0] - lo * scale
+    scale = 1.0 / span
+    # 0.0 - x rather than -x, so that a zero offset is +0.0
+    offset = 0.0 - lo * scale
     mapping = AffineMap(scale=scale, offset=offset)
     return mapping.forward(pts), mapping
 
@@ -530,17 +520,15 @@ def _grid_columns(order: int, resolution: int, j: int, mother: bool, axis: bytes
 
 
 class DensityModel:
-    """A wavelet family plus coefficients, evaluable as a density.
+    """Coefficients evaluable as a density in the basis they name.
 
     For the shape-preserving kind the density is the squared reconstruction
     (nonnegative by construction); for the classical kind it is the linear
     reconstruction itself and may be negative.
     """
 
-    def __init__(self, family: WaveletFamily, coefficients: CoefficientSet):
-        if family.order != coefficients.wavelet_order:
-            raise ValueError("family order does not match the coefficient set")
-        self.family = family
+    def __init__(self, coefficients: CoefficientSet):
+        self.family = coefficients.family
         self.coefficients = coefficients
 
     @property
@@ -628,8 +616,7 @@ def fit_model(points, config: EstimatorConfig) -> DensityModel:
         coeffs = soft_threshold(coeffs, config.threshold_constant, coeffs.n)
     if config.normalize:
         coeffs = normalize(coeffs)
-    family = cached_family(config.wavelet_order, config.dyadic_resolution)
-    return DensityModel(family, coeffs)
+    return DensityModel(coeffs)
 
 
 def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None, provenance=None) -> None:
@@ -644,7 +631,7 @@ def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None
         "j0": coeffs.j0,
         "J": coeffs.J,
         "wavelet_order": coeffs.wavelet_order,
-        "dyadic_resolution": coeffs.dyadic_resolution,
+        "dyadic_resolution": DEFAULT_RESOLUTION,
         "normalized": coeffs.normalized,
         "representation": coeffs.representation,
     }
@@ -722,10 +709,12 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
             normalized=bool(doc["normalized"]),
             representation=str(doc["representation"]),
             kind=str(doc.get("kind", "shape-preserving")),
-            dyadic_resolution=int(doc.get("dyadic_resolution", 10)),
         )
+        resolution = int(doc.get("dyadic_resolution", DEFAULT_RESOLUTION))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed coefficient document ({exc})") from exc
+    if resolution != DEFAULT_RESOLUTION:
+        raise DataError(f"{path}: dyadic resolution {resolution} is not the tables' {DEFAULT_RESOLUTION}")
     _check_coefficients(entries, path, **meta)
     extras = {name: doc[name] for name in ("domain", "affine", "provenance") if name in doc}
     return CoefficientSet.from_entries(entries, **meta), extras
@@ -733,5 +722,4 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
 
 def model_from_file(path) -> tuple[DensityModel, dict]:
     coeffs, extras = read_coefficients(path)
-    family = cached_family(coeffs.wavelet_order, coeffs.dyadic_resolution)
-    return DensityModel(family, coeffs), extras
+    return DensityModel(coeffs), extras

@@ -39,7 +39,7 @@ from .estimator import (
 )
 from .metrics import Field, GridSpec, grid_eval, mise_aggregate
 from .neighbors import knn_stats, unit_ball_volume
-from .wavelets import cached_family
+from .wavelets import DEFAULT_RESOLUTION, cached_family
 
 SHAPE_PRESERVING = "shape-preserving"
 CLASSICAL = "classical"
@@ -220,13 +220,7 @@ def sample_mixture(spec: MixtureSpec, n: int, rng: np.random.Generator) -> np.nd
 
 def true_density_field(spec: MixtureSpec, grid: GridSpec) -> Field:
     """Truncated-mixture density at the grid's cell centers."""
-    if spec.is_uniform:
-        values = np.full((grid.resolution,) * grid.d, 1.0 / _box_volume(spec.domain))
-        return Field(grid=grid, values=values)
-    centers = grid.cell_centers()
-    values = _raw_mixture_pdf(spec.weights, spec.means, spec.covariances, centers)
-    values = values / spec.normalizer
-    return Field(grid=grid, values=values.reshape((grid.resolution,) * grid.d))
+    return grid_eval(lambda points: density_pdf(spec, points), grid)
 
 
 def density_pdf(spec: MixtureSpec, points) -> np.ndarray:
@@ -256,7 +250,6 @@ class BenchmarkConfig:
     grid_resolution: int = 128
     seed: int = 0
     estimators: tuple[str, ...] = (SHAPE_PRESERVING, CLASSICAL)
-    dyadic_resolution: int = 10
 
     def __post_init__(self):
         if self.replications < 1:
@@ -359,7 +352,6 @@ def _replicate_cell(spec, config, n, replication, truth_values, grid):
     rng = replication_rng(config.seed, spec.name, n, replication)
     points = sample_mixture(spec, n, rng)
     j_max = max(config.J_values)
-    family = cached_family(config.wavelet_order, config.dyadic_resolution)
     out: dict[tuple[int, int, str], tuple] = {}
 
     def eval_rows(raw, k, estimator):
@@ -368,12 +360,12 @@ def _replicate_cell(spec, config, n, replication, truth_values, grid):
             try:
                 coeffs = truncate_details(raw, J)
                 if estimator == SHAPE_PRESERVING:
-                    model = DensityModel(family, normalize(coeffs))
+                    model = DensityModel(normalize(coeffs))
                     values = grid_eval(model, grid).values
                 else:
                     # rescaling is linear, so dividing the field by its mass
                     # equals rescaling the coefficients
-                    model = DensityModel(family, coeffs)
+                    model = DensityModel(coeffs)
                     values = grid_eval(model, grid).values
                     total = float(grid.cell_volume * values.sum())
                     if total <= 0.0:
@@ -391,8 +383,6 @@ def _replicate_cell(spec, config, n, replication, truth_values, grid):
         J=j_max,
         k=1,
         normalize=False,
-        domain=spec.domain,
-        dyadic_resolution=config.dyadic_resolution,
     )
     if SHAPE_PRESERVING in config.estimators:
         # one neighbour query and one basis design for every k the sample
@@ -447,7 +437,7 @@ def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> Benchm
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cached_family(config.wavelet_order, config.dyadic_resolution)
+    cached_family(config.wavelet_order, DEFAULT_RESOLUTION)
     rows: list[BenchRow] = []
     for density in config.densities:
         spec = get_density(density)

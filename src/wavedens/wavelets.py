@@ -18,6 +18,7 @@ is the pure father product.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -267,18 +268,7 @@ def supported_translates(family: WaveletFamily, j: int, x, d: int) -> list[tuple
         if t == top and family.order > 1:
             top -= 1  # father vanishes at 0 for p >= 2
         per_axis.append(range(lo, top + 1))
-    out: list[tuple[int, ...]] = []
-    idx = [0] * d
-    # cartesian product in lexicographic order
-    def rec(a: int, prefix: tuple[int, ...]) -> None:
-        if a == d:
-            out.append(prefix)
-            return
-        for z in per_axis[a]:
-            rec(a + 1, prefix + (z,))
-
-    rec(0, ())
-    return out
+    return list(itertools.product(*per_axis))
 
 
 def refinement_coefficients(
@@ -293,18 +283,10 @@ def refinement_coefficients(
     if not 0 <= q < (1 << d):
         raise ValueError(f"orientation {q} out of range for d={d}")
     filters = [family.highpass if (q >> a) & 1 else family.lowpass for a in range(d)]
-    taps = len(filters[0])
-    out: dict[tuple[int, ...], float] = {}
-
-    def rec(a: int, key: tuple[int, ...], value: float) -> None:
-        if a == d:
-            out[key] = value
-            return
-        for k in range(taps):
-            rec(a + 1, key + (k,), value * filters[a][k])
-
-    rec(0, (), 1.0)
-    return out
+    return {
+        key: math.prod((filters[a][k] for a, k in enumerate(key)), start=1.0)
+        for key in itertools.product(range(len(filters[0])), repeat=d)
+    }
 
 
 def approx_kernel(family: WaveletFamily, j: int, x, y) -> float:

@@ -52,7 +52,7 @@ def entries_to_blocks(entries):
 
 
 def coefficient_sums(points, weights, config):
-    family = cached_family(config.wavelet_order, config.dyadic_resolution)
+    family = cached_family(config.wavelet_order, 10)
     snapped = estimator.snap_to_dyadic(points, family.dyadic_resolution)
     details = list(range(1, 1 << points.shape[1]))
     blocks = {}

@@ -205,7 +205,6 @@ def test_criterion_3_dilation_identity():
     rng = substream(3, 1)
     worst = 0.0
     for order in (2, 6):
-        fam = cached_family(order, 10)
         for _ in range(10):
             pts = rng.random((200, 2))
             direct = estimate_coefficients(
@@ -214,7 +213,7 @@ def test_criterion_3_dilation_identity():
             fine = estimate_coefficients(
                 pts, EstimatorConfig(wavelet_order=order, j0=3, J=2, k=1, normalize=False)
             )
-            filtered = dilation_coefficients(to_single_trend(fine, fam), fam)
+            filtered = dilation_coefficients(to_single_trend(fine))
             keys = set(direct.entries) | set(filtered.entries)
             worst = max(
                 worst,

@@ -73,7 +73,7 @@ def test_each_k_keeps_the_one_k_arithmetic(d, order):
     # every coefficient is the point-order sum, from +0.0, of the products
     # ((u_0 * u_1) * ...) * (w * 2^(dj/2)) of exact table values at the snapped points
     pts, cfg = sample(d, 40 + d, n=12), config(d, order)
-    family = cached_family(order, cfg.dyadic_resolution)
+    family = cached_family(order, 10)
     r = family.dyadic_resolution
     snapped = estimator.snap_to_dyadic(pts, r).tolist()
     for k, cs in zip(KS, estimate_coefficient_sets(pts, cfg, KS)):
@@ -140,7 +140,7 @@ def grid_cases(d):
 @CASES
 def test_grid_path_matches_the_axis_factor_oracle(d, order):
     pts, cfg = sample(d, 30 + d), config(d, order)
-    family = cached_family(order, cfg.dyadic_resolution)
+    family = cached_family(order, 10)
     fitted = normalize(estimate_coefficients(pts, cfg))
     # two far-off father translates stretch the j0 block past both ends of
     # any grid axis's translate range
@@ -151,7 +151,7 @@ def test_grid_path_matches_the_axis_factor_oracle(d, order):
     for cs in (fitted, CoefficientSet.from_entries(far, **meta)):
         for axes in grid_cases(d):
             np.testing.assert_array_equal(
-                DensityModel(family, cs).reconstruct_on_axes(axes),
+                DensityModel(cs).reconstruct_on_axes(axes),
                 oracle.reconstruct_on_axes(family, cs.entries, d, axes),
             )
 
@@ -160,7 +160,7 @@ def test_grid_columns_are_read_only_and_bounded():
     maxsize = estimator._grid_columns.cache_info().maxsize
     assert maxsize is not None
     pts = sample(1, 5)
-    model = DensityModel(cached_family(2, 10), normalize(estimate_coefficients(pts, config(1, 2))))
+    model = DensityModel(normalize(estimate_coefficients(pts, config(1, 2))))
     for shift in range(maxsize + 5):
         model.reconstruct_on_axes([np.linspace(0.0, 1.0, 9) + shift * 1e-3])
     assert estimator._grid_columns.cache_info().currsize <= maxsize

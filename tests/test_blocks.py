@@ -99,31 +99,31 @@ def test_single_trend_then_dilation(d, order, kind):
         # the oracle's tensor gather of the detail level peaks near 1 GiB
         J = cfg.j0 - 1
         cs, raw = truncate_details(cs, J), oracle.truncate(raw, J)
-    family = cached_family(order, cfg.dyadic_resolution)
-    single = to_single_trend(cs, family)
+    family = cached_family(order, 10)
+    single = to_single_trend(cs)
     expected = oracle.to_single_trend(raw, d, cfg.j0, J, family)
     assert_close(single, expected)
-    assert_close(dilation_coefficients(single, family), oracle.dilation(expected, d, J, family))
+    assert_close(dilation_coefficients(single), oracle.dilation(expected, d, J, family))
 
 
 @CASES
 def test_model_sees_the_same_blocks(d, order, kind):
     _, cfg, cs, raw = fitted(d, order, kind)
-    family = cached_family(order, cfg.dyadic_resolution)
+    family = cached_family(order, 10)
     if kind == "sp":
         cs, raw = normalize(cs), oracle.normalize(raw)
     axes = GridSpec.unit(d, 16 if d < 3 else 8).axes()
     np.testing.assert_array_equal(
-        DensityModel(family, cs).reconstruct_on_axes(axes), oracle.reconstruct_on_axes(family, raw, d, axes)
+        DensityModel(cs).reconstruct_on_axes(axes), oracle.reconstruct_on_axes(family, raw, d, axes)
     )
 
 
 @pytest.mark.parametrize("d, order", [(d, order) for d in (1, 2, 3) for order in (1, 2, 6)])
 def test_rescale_classical(d, order):
     _, cfg, cs, raw = fitted(d, order, "cl")
-    family = cached_family(order, cfg.dyadic_resolution)
+    family = cached_family(order, 10)
     grid = GridSpec.unit(d, 16 if d < 3 else 8)
-    rescaled = rescale_classical(DensityModel(family, cs), grid).coefficients
+    rescaled = rescale_classical(DensityModel(cs), grid).coefficients
     assert_same(rescaled, oracle.rescale_classical(raw, family, d, grid))
 
 

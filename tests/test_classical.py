@@ -8,9 +8,9 @@ from wavedens.classical import (
     rescale_classical,
 )
 from wavedens.errors import DegenerateModelError, EstimationError
-from wavedens.estimator import CoefficientSet, DensityModel, EstimatorConfig, fit_model
+from wavedens.estimator import CoefficientSet, DensityModel, EstimatorConfig, estimate_coefficients, fit_model
 from wavedens.metrics import GridSpec, grid_eval, mass, negative_mass
-from wavedens.wavelets import BasisIndex, cached_family
+from wavedens.wavelets import BasisIndex
 
 
 def haar_config(**kw):
@@ -33,6 +33,19 @@ class TestClassicalCoefficients:
         coeffs = classical_coefficients(pts, haar_config())
         assert coeffs.kind == "classical"
         assert coeffs.entries == {BasisIndex(0, (0, 0), 0): 1.0}
+
+    @pytest.mark.parametrize("outside", [1.5, -1e-12])
+    def test_outside_unit_cube_mentions_rescale(self, outside):
+        pts = np.array([[0.5, 0.5], [outside, 0.5], [0.2, 0.8]])
+        with pytest.raises(EstimationError, match="rescale"):
+            classical_coefficients(pts, haar_config())
+
+    @pytest.mark.parametrize("estimate", [classical_coefficients, estimate_coefficients])
+    def test_points_on_the_faces_are_inside(self, estimate):
+        # the corners and the edge midpoints of the unit square, plus two interior points
+        pts = np.array([[x, y] for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)] + [[0.2, 0.3]])
+        coeffs = estimate(pts, EstimatorConfig(wavelet_order=2, j0=0, J=0, k=1))
+        assert coeffs.entries
 
     def test_single_point_level_two(self):
         coeffs = classical_coefficients(np.array([[0.3, 0.6]]), haar_config(j0=2, J=1))
@@ -78,13 +91,12 @@ class TestClassicalDensity:
 
 class TestRescaleClassical:
     def test_halves_density(self):
-        fam = cached_family(1, 10)
         coeffs = CoefficientSet.from_entries(
             {BasisIndex(0, (0, 0), 0): 2.0},
             d=2, n=4, k=1, j0=0, J=-1, wavelet_order=1,
             normalized=False, representation="trend-plus-details", kind="classical",
         )
-        model = DensityModel(fam, coeffs)
+        model = DensityModel(coeffs)
         grid = GridSpec.unit(2, 32)
         rescaled = rescale_classical(model, grid)
         assert classical_density_at(rescaled, (0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
@@ -104,14 +116,13 @@ class TestRescaleClassical:
         assert mass(grid_eval(rescaled, grid)) == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_mass_rejected(self):
-        fam = cached_family(1, 10)
         coeffs = CoefficientSet.from_entries(
             {BasisIndex(0, (0, 0), 0): -1.0},
             d=2, n=4, k=1, j0=0, J=-1, wavelet_order=1,
             normalized=False, representation="trend-plus-details", kind="classical",
         )
         with pytest.raises(DegenerateModelError):
-            rescale_classical(DensityModel(fam, coeffs), GridSpec.unit(2, 16))
+            rescale_classical(DensityModel(coeffs), GridSpec.unit(2, 16))
 
 
 class TestAgreementWithShapePreserving:

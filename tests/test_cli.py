@@ -281,10 +281,12 @@ class TestEvalRejectsBadCoefficientFiles:
             (set_header("wavelet_order", 11), "wavelet order"),
             (set_header("wavelet_order", 0), "wavelet order"),
             (repeat_first_entry, "appears more than once"),
+            (set_header("dyadic_resolution", 12), "dyadic resolution 12"),
         ],
         ids=[
             "z-length", "q-above-range", "q-negative", "nan-value", "inf-value",
             "detail-above-J", "trend-off-j0", "order-11", "order-0", "duplicate-entry",
+            "resolution-12",
         ],
     )
     def test_exits_2(self, uniform_csv, tmp_path, capsys, mutate, message):
@@ -299,7 +301,7 @@ class TestEvalRejectsBadCoefficientFiles:
     def test_single_trend_file_accepted(self, tmp_path):
         rng = np.random.default_rng(5)
         fitted = fit_model(rng.random((64, 2)), EstimatorConfig(wavelet_order=2, j0=0, J=1, k=1))
-        single = to_single_trend(fitted.coefficients, fitted.family)
+        single = to_single_trend(fitted.coefficients)
         path = tmp_path / "single.json"
         write_coefficients(path, single)
         assert main(["eval", str(path), "--grid", "4", "-o", str(tmp_path / "out.csv")]) == 0

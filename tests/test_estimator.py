@@ -34,6 +34,7 @@ from wavedens.estimator import (
     write_coefficients,
 )
 from wavedens.neighbors import knn_stats
+from wavedens.simulation import BenchmarkConfig, run_benchmark
 from wavedens.wavelets import BasisIndex, cached_family, supported_translates, tensor_basis_at
 
 HAND_POINTS = np.array([[0.2], [0.4], [0.7]])
@@ -214,28 +215,25 @@ class TestSoftThreshold:
 
 class TestFilterBank:
     def test_trend_only_relabels(self):
-        fam = cached_family(1, 10)
         cs = make_set({BasisIndex(0, (0,), 0): 1.0}, J=-1)
-        out = to_single_trend(cs, fam)
+        out = to_single_trend(cs)
         assert out.representation == "single-trend"
         assert out.entries == {BasisIndex(0, (0,), 0): 1.0}
 
     def test_haar_synthesis_hand_example(self):
-        fam = cached_family(1, 10)
         cs = make_set({BasisIndex(0, (0,), 0): 1.0, BasisIndex(0, (0,), 1): 1.0})
-        out = to_single_trend(cs, fam)
+        out = to_single_trend(cs)
         assert out.entries[BasisIndex(1, (0,), 0)] == pytest.approx(math.sqrt(2), abs=1e-15)
         # alpha_{1,1} = 1/sqrt2 - 1/sqrt2 = 0 and is dropped from the map
         assert BasisIndex(1, (1,), 0) not in out.entries
 
     def test_haar_analysis_hand_example(self):
-        fam = cached_family(1, 10)
         a, b = 1.7, -0.4
         fine = make_set(
             {BasisIndex(1, (0,), 0): a, BasisIndex(1, (1,), 0): b},
             J=0, representation="single-trend",
         )
-        out = dilation_coefficients(fine, fam)
+        out = dilation_coefficients(fine)
         assert out.entries[BasisIndex(0, (0,), 0)] == pytest.approx((a + b) / math.sqrt(2), abs=1e-14)
         assert out.entries[BasisIndex(0, (0,), 1)] == pytest.approx((a - b) / math.sqrt(2), abs=1e-14)
         assert out.representation == "trend-plus-details"
@@ -243,14 +241,13 @@ class TestFilterBank:
     def test_direct_equals_filtered_db2(self):
         rng = np.random.default_rng(5)
         pts = rng.random((150, 2))
-        fam = cached_family(2, 10)
         direct = estimate_coefficients(
             pts, EstimatorConfig(wavelet_order=2, j0=2, J=2, k=1, normalize=False)
         )
         fine = estimate_coefficients(
             pts, EstimatorConfig(wavelet_order=2, j0=3, J=2, k=1, normalize=False)
         )
-        filtered = dilation_coefficients(to_single_trend(fine, fam), fam)
+        filtered = dilation_coefficients(to_single_trend(fine))
         keys = set(direct.entries) | set(filtered.entries)
         for key in keys:
             assert abs(direct.entries.get(key, 0.0) - filtered.entries.get(key, 0.0)) < 1e-10
@@ -258,9 +255,8 @@ class TestFilterBank:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         pts = rng.random((80, 2))
-        fam = cached_family(2, 10)
         cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=2, j0=1, J=1, k=1, normalize=False))
-        back = dilation_coefficients(to_single_trend(cs, fam), fam)
+        back = dilation_coefficients(to_single_trend(cs))
         keys = set(cs.entries) | set(back.entries)
         for key in keys:
             assert abs(cs.entries.get(key, 0.0) - back.entries.get(key, 0.0)) < 1e-10
@@ -268,20 +264,18 @@ class TestFilterBank:
     def test_energy_preserved(self):
         rng = np.random.default_rng(7)
         pts = rng.random((120, 2))
-        fam = cached_family(6, 10)
         cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=6, j0=0, J=2, k=1, normalize=False))
-        st = to_single_trend(cs, fam)
+        st = to_single_trend(cs)
         assert abs(normalization_mass(cs) - normalization_mass(st)) < 1e-10
 
     def test_reconstruction_unchanged_on_dyadic_grid(self):
         rng = np.random.default_rng(8)
         pts = rng.random((100, 2))
-        fam = cached_family(2, 10)
         cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=2, j0=0, J=2, k=1, normalize=False))
-        st = to_single_trend(cs, fam)
+        st = to_single_trend(cs)
         centers = (np.arange(32) + 0.5) / 32.0
-        a = DensityModel(fam, cs).reconstruct_on_axes([centers, centers])
-        b = DensityModel(fam, st).reconstruct_on_axes([centers, centers])
+        a = DensityModel(cs).reconstruct_on_axes([centers, centers])
+        b = DensityModel(st).reconstruct_on_axes([centers, centers])
         assert np.max(np.abs(a - b)) < 1e-9
 
     @pytest.mark.parametrize("order", [2, 6])
@@ -290,14 +284,13 @@ class TestFilterBank:
         # on axis 0 the fine block then starts at an odd translate, where the
         # lowest coarse translate takes only the last filter tap
         pts[:, 0] = 0.3 + 0.7 * pts[:, 0]
-        fam = cached_family(order, 10)
         direct = estimate_coefficients(
             pts, EstimatorConfig(wavelet_order=order, j0=1, J=1, k=1, normalize=False)
         )
         fine = estimate_coefficients(
             pts, EstimatorConfig(wavelet_order=order, j0=2, J=1, k=1, normalize=False)
         )
-        filtered = dilation_coefficients(to_single_trend(fine, fam), fam)
+        filtered = dilation_coefficients(to_single_trend(fine))
         assert {key.orientation for key in direct.entries} == set(range(8))
         for key in set(direct.entries) | set(filtered.entries):
             assert abs(direct.entries.get(key, 0.0) - filtered.entries.get(key, 0.0)) < 1e-10
@@ -305,7 +298,6 @@ class TestFilterBank:
     def test_level_transform_memory_is_bounded(self):
         # a tensor filter over cells x 12**3 taps would peak at hundreds of MiB here
         pts = np.random.default_rng(13).random((60, 3))
-        fam = cached_family(6, 10)
         cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=6, j0=0, J=0, k=1, normalize=False))
 
         def peak(call):
@@ -315,14 +307,34 @@ class TestFilterBank:
             finally:
                 tracemalloc.stop()
 
-        single, synthesis_peak = peak(lambda: to_single_trend(cs, fam))
-        _, analysis_peak = peak(lambda: dilation_coefficients(single, fam))
+        single, synthesis_peak = peak(lambda: to_single_trend(cs))
+        _, analysis_peak = peak(lambda: dilation_coefficients(single))
         assert synthesis_peak < 16 << 20 and analysis_peak < 16 << 20
 
     def test_dilation_requires_single_trend(self):
-        fam = cached_family(1, 10)
         with pytest.raises(RepresentationError):
-            dilation_coefficients(make_set({BasisIndex(0, (0,), 0): 1.0}), fam)
+            dilation_coefficients(make_set({BasisIndex(0, (0,), 0): 1.0}))
+
+
+class TestBasisLookup:
+    def test_every_path_shares_one_cached_family(self, tmp_path):
+        # functools.lru_cache keys cached_family(6) and cached_family(6, 10)
+        # apart, so one stray spelling would build the db6 tables twice
+        pts = np.random.default_rng(16).random((64, 2))
+        config = EstimatorConfig(wavelet_order=6, j0=0, J=1, k=1)
+        cached_family.cache_clear()
+        model = fit_model(pts, config)
+        fit_classical(pts, config).density(pts)
+        path = tmp_path / "model.json"
+        write_coefficients(path, model.coefficients)
+        model_from_file(path)[0].density(pts)
+        dilation_coefficients(to_single_trend(model.coefficients))
+        sweep = BenchmarkConfig(
+            densities=("uniform",), sample_sizes=(64,), replications=1,
+            J_values=(1,), k_values=(1,), grid_resolution=16,
+        )
+        assert not run_benchmark(sweep).failed
+        assert cached_family.cache_info().currsize == 1
 
 
 class TestTruncateDetails:
@@ -343,16 +355,14 @@ class TestTruncateDetails:
 
 class TestReconstruction:
     def test_constant_model(self):
-        fam = cached_family(1, 10)
         cs = make_set({BasisIndex(0, (0, 0), 0): 1.0}, d=2)
-        model = DensityModel(fam, cs)
+        model = DensityModel(cs)
         pts = np.array([[0.1, 0.9], [0.5, 0.5], [0.99, 0.01]])
         np.testing.assert_array_equal(model.reconstruct(pts), 1.0)
         assert reconstruct_g(model, (0.3, 0.3)) == 1.0
 
     def test_empty_model_is_zero(self):
-        fam = cached_family(1, 10)
-        model = DensityModel(fam, make_set({}, d=2))
+        model = DensityModel(make_set({}, d=2))
         assert reconstruct_g(model, (0.5, 0.5)) == 0.0
 
     def test_hand_model_value(self):
@@ -362,9 +372,8 @@ class TestReconstruction:
         assert density_at(model, (0.5,)) == pytest.approx(HAND_ALPHA**2, abs=1e-12)
 
     def test_density_is_square(self):
-        fam = cached_family(1, 10)
         cs = make_set({BasisIndex(0, (0,), 0): -0.3})
-        model = DensityModel(fam, cs)
+        model = DensityModel(cs)
         assert density_at(model, (0.5,)) == pytest.approx(0.09, abs=1e-15)
 
     def test_uniform_normalized_density_is_one(self):
@@ -447,7 +456,7 @@ class TestPointReconstructionOracle:
         rng = np.random.default_rng(100 + 10 * d + order)
         cfg = EstimatorConfig(wavelet_order=order, j0=0, J=J, k=1, normalize=False)
         raw = estimate_coefficients(rng.random((120, d)), cfg)
-        assert_matches_oracle(DensityModel(cached_family(order, 10), raw), probe_points(rng, d))
+        assert_matches_oracle(DensityModel(raw), probe_points(rng, d))
 
     @pytest.mark.parametrize("d, order, J", [case for case in ORACLE_CASES if case[2] >= 0])
     def test_thresholded_model(self, d, order, J):
@@ -476,7 +485,7 @@ class TestPointReconstructionOracle:
         entries[BasisIndex(0, (-1,) * d, 1)] = 0.3
         for z in [(0,) * d, (1,) * d, (-2,) + (1,) * (d - 1)]:
             entries[BasisIndex(1, z, (1 << d) - 1)] = float(rng.normal())
-        model = DensityModel(cached_family(order, 10), make_set(entries, d=d, wavelet_order=order, J=1))
+        model = DensityModel(make_set(entries, d=d, wavelet_order=order, J=1))
         shapes = sorted(dense.shape for _, dense in model.coefficients.blocks.values())
         assert (1,) * d in shapes
         assert_matches_oracle(model, probe_points(rng, d))
@@ -534,7 +543,7 @@ class TestScatter:
         n = 6
         pts = np.random.default_rng(40 + d).random((n, d))
         cfg = EstimatorConfig(wavelet_order=order, j0=0, J=J, k=1)
-        family = cached_family(order, cfg.dyadic_resolution)
+        family = cached_family(order, 10)
         r = family.dyadic_resolution
         snapped = np.ldexp(estimator.snap_to_dyadic(pts, r).astype(float), -r)
         if classical:
@@ -564,6 +573,20 @@ class TestScatter:
         finally:
             tracemalloc.stop()
         assert peak < 160 * 2**20
+
+    def test_large_n_fit_memory_is_bounded(self):
+        # the scatter's chunks stay within the 2 MiB byte budget; a 64 MiB
+        # budget peaked at 45 MiB on this input
+        pts = np.random.default_rng(14).random((20_000, 2))
+        config = EstimatorConfig(wavelet_order=6, j0=0, J=3, k=1)
+        cached_family(6, 10)  # the tables are not part of the fit's peak
+        tracemalloc.start()
+        try:
+            fit_model(pts, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestRescaleToDomain:

@@ -5,7 +5,7 @@ import pytest
 
 from wavedens.estimator import CoefficientSet, DensityModel, EstimatorConfig, fit_model
 from wavedens.metrics import Field, GridSpec, grid_eval, ise, mass, mise_aggregate, negative_mass
-from wavedens.wavelets import BasisIndex, cached_family
+from wavedens.wavelets import BasisIndex
 
 
 def const_field(value, resolution=4, d=2):
@@ -39,13 +39,12 @@ class TestGridEval:
         np.testing.assert_array_equal(field.values, 1.0)
 
     def test_haar_trend_model_is_piecewise_constant(self):
-        fam = cached_family(1, 10)
         coeffs = CoefficientSet.from_entries(
             {BasisIndex(1, (0, 0), 0): 1.0},
             d=2, n=1, k=1, j0=1, J=0, wavelet_order=1,
             normalized=False, representation="trend-plus-details",
         )
-        field = grid_eval(DensityModel(fam, coeffs), GridSpec.unit(2, 8))
+        field = grid_eval(DensityModel(coeffs), GridSpec.unit(2, 8))
         # support is the lower-left quadrant; value (2^(d j/2))^2 = 4
         np.testing.assert_array_equal(field.values[:4, :4], 4.0)
         assert np.all(field.values[4:, :] == 0.0)

@@ -21,7 +21,6 @@ from wavedens.estimator import (
     to_single_trend,
     write_coefficients,
 )
-from wavedens.wavelets import cached_family
 
 pytestmark = pytest.mark.filterwarnings("ignore::wavedens.errors.KConsistencyWarning")
 
@@ -92,8 +91,7 @@ def test_coefficient_file_round_trip_is_exact(tmp_path_factory, fit):
 def test_blocks_are_sorted_trimmed_and_rebuilt_from_entries(fit):
     points, config = fit
     raw = estimate_coefficients(points, config)
-    family = cached_family(config.wavelet_order, config.dyadic_resolution)
-    for cs in (raw, fit_model(points, config).coefficients, soft_threshold(raw, 1.0, raw.n), to_single_trend(raw, family)):
+    for cs in (raw, fit_model(points, config).coefficients, soft_threshold(raw, 1.0, raw.n), to_single_trend(raw)):
         assert list(cs.blocks) == sorted(cs.blocks)
         for _, dense in cs.blocks.values():
             for axis in range(dense.ndim):
@@ -117,11 +115,10 @@ def test_batch_equals_one_k_calls(fit, ks):
 def test_synthesis_then_analysis_is_the_identity(fit):
     points, config = fit
     cs = estimate_coefficients(points, dataclasses.replace(config, J=config.j0))
-    family = cached_family(config.wavelet_order, config.dyadic_resolution)
-    single = to_single_trend(cs, family)
+    single = to_single_trend(cs)
     mass = normalization_mass(cs)
     assert abs(normalization_mass(single) - mass) <= 1e-12 * mass
-    back = dilation_coefficients(single, family).entries
+    back = dilation_coefficients(single).entries
     scale = max(map(abs, cs.entries.values()))
     for key in cs.entries.keys() | back.keys():
         assert abs(cs.entries.get(key, 0.0) - back.get(key, 0.0)) <= 1e-12 * scale
