@@ -17,7 +17,6 @@ from .errors import (
     DegenerateModelError,
     EstimationError,
     KConsistencyWarning,
-    RepresentationError,
     WavedensError,
 )
 from .wavelets import (
@@ -64,7 +63,6 @@ from .estimator import (
 )
 from .classical import (
     classical_coefficients,
-    classical_density_at,
     fit_classical,
     rescale_classical,
 )

@@ -42,18 +42,12 @@ def classical_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
         J=config.J,
         wavelet_order=config.wavelet_order,
         normalized=False,
-        representation="trend-plus-details",
         kind="classical",
     )
 
 
 def fit_classical(points, config: EstimatorConfig) -> DensityModel:
     return DensityModel(classical_coefficients(points, config))
-
-
-def classical_density_at(model: DensityModel, x) -> float:
-    """Linear reconstruction at one point; may be negative."""
-    return float(model.reconstruct(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
 def rescale_classical(model: DensityModel, grid: GridSpec) -> DensityModel:

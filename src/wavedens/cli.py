@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import warnings
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .classical import fit_classical, rescale_classical
-from .errors import DataError, EstimationError, KConsistencyWarning, WavedensError
+from .errors import DataError, KConsistencyWarning, WavedensError
 from .estimator import (
     EstimatorConfig,
     fit_model,
@@ -454,7 +453,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except (EstimationError, WavedensError) as exc:
+    except WavedensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except ValueError as exc:

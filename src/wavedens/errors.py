@@ -23,10 +23,6 @@ class DegenerateModelError(EstimationError):
     """A model has no usable mass (all coefficients zero)."""
 
 
-class RepresentationError(WavedensError):
-    """A coefficient set is in the wrong representation for the operation."""
-
-
 class KConsistencyWarning(UserWarning):
     """k is large relative to n for consistent estimation (see validate_k);
     a warning only, since the estimate is still valid."""

@@ -37,13 +37,9 @@ from .errors import (
     DegenerateModelError,
     EstimationError,
     KConsistencyWarning,
-    RepresentationError,
 )
 from .neighbors import _knn_stats, as_points, validate_k
 from .wavelets import DEFAULT_RESOLUTION, MAX_ORDER, BasisIndex, WaveletFamily, cached_family, _table_at
-
-TREND_DETAILS = "trend-plus-details"
-SINGLE_TREND = "single-trend"
 
 SCHEMA_VERSION = 1
 
@@ -86,9 +82,9 @@ class CoefficientSet:
     the coefficient of translate zmin + i.  Each block is cut to the bounding
     box of its nonzeros and no block is all zero; ``entries`` is a read-only
     BasisIndex view of the nonzeros, and ``from_entries`` builds a set from
-    such a map.  ``representation`` is either trend-plus-details (father
-    block at j0, detail blocks at j0..J) or single-trend (father block at
-    J+1 only).  The basis is the Daubechies family of ``wavelet_order``.
+    such a map.  The father block lies at level j0 and the detail blocks at
+    j0..J, so a trend-only set (J = j0 - 1) holds the father block alone.
+    The basis is the Daubechies family of ``wavelet_order``.
     """
 
     blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -99,7 +95,6 @@ class CoefficientSet:
     J: int
     wavelet_order: int
     normalized: bool
-    representation: str
     kind: str = "shape-preserving"
 
     @classmethod
@@ -174,14 +169,15 @@ def _check_in_unit_cube(pts: np.ndarray) -> None:
         )
 
 
-def snap_to_dyadic(points: np.ndarray, resolution: int) -> np.ndarray:
-    """Integer coordinates floor(x * 2**resolution) used for basis lookups.
+def snap_to_dyadic(points: np.ndarray) -> np.ndarray:
+    """Integer coordinates floor(x * 2**r) used for basis lookups, at the
+    tables' dyadic resolution r.
 
     Flooring never crosses a dyadic cell boundary, so Haar basis values are
     preserved exactly; for smoother families the perturbation is below
-    2**-resolution per axis.
+    2**-r per axis.
     """
-    return np.floor(np.ldexp(points, resolution)).astype(np.int64)
+    return np.floor(np.ldexp(points, DEFAULT_RESOLUTION)).astype(np.int64)
 
 
 def _band_table_values(family: WaveletFamily, snapped: np.ndarray, j: int):
@@ -232,7 +228,7 @@ def _accumulate_level(family, snapped, qs, weights, j):
 def _coefficient_sums(points, weights, config: EstimatorConfig):
     """Trimmed coefficient sums of every row of the (m, n) ``weights``."""
     family = cached_family(config.wavelet_order, DEFAULT_RESOLUTION)
-    snapped = snap_to_dyadic(points, family.dyadic_resolution)
+    snapped = snap_to_dyadic(points)
     details = list(range(1, 1 << points.shape[1]))
     sums = [{} for _ in weights]
     for j in range(config.j0, max(config.J, config.j0) + 1):
@@ -288,7 +284,6 @@ def _estimate_sets(points, config: EstimatorConfig, ks) -> list[CoefficientSet]:
             J=config.J,
             wavelet_order=config.wavelet_order,
             normalized=False,
-            representation=TREND_DETAILS,
             kind="shape-preserving",
         )
         for k, blocks in zip(ks, _coefficient_sums(pts, weights, config))
@@ -315,23 +310,18 @@ def normalize(coeffs: CoefficientSet) -> CoefficientSet:
     return dataclasses.replace(coeffs, blocks=blocks, normalized=True)
 
 
-def soft_threshold(coeffs: CoefficientSet, threshold_constant: float, n: int) -> CoefficientSet:
+def soft_threshold(coeffs: CoefficientSet, threshold_constant: float) -> CoefficientSet:
     """Soft-threshold detail entries with level-dependent threshold
-    t_j = C sqrt(j+1) / sqrt(n); trend blocks are untouched and exact zeros
-    are trimmed away."""
+    t_j = C sqrt(j+1) / sqrt(n), n the set's sample size; trend blocks are
+    untouched and exact zeros are trimmed away."""
     if threshold_constant < 0:
         raise ValueError("threshold constant must be >= 0")
-    if coeffs.representation != TREND_DETAILS:
-        raise RepresentationError(
-            "soft thresholding applies to the trend-plus-details representation; "
-            "convert with dilation_coefficients first"
-        )
     if threshold_constant == 0.0:
         return coeffs
     blocks = {}
     for (j, q), (zmin, dense) in coeffs.blocks.items():
         if q:
-            t_j = threshold_constant * math.sqrt(j + 1) / math.sqrt(n)
+            t_j = threshold_constant * math.sqrt(j + 1) / math.sqrt(coeffs.n)
             dense = np.copysign(np.maximum(np.abs(dense) - t_j, 0.0), dense)
         blocks[(j, q)] = (zmin, dense)
     return dataclasses.replace(coeffs, blocks=_trimmed(blocks), normalized=False)
@@ -339,8 +329,6 @@ def soft_threshold(coeffs: CoefficientSet, threshold_constant: float, n: int) ->
 
 def truncate_details(coeffs: CoefficientSet, new_J: int) -> CoefficientSet:
     """Drop detail levels above new_J; equals a direct fit at the lower J."""
-    if coeffs.representation != TREND_DETAILS:
-        raise RepresentationError("can only truncate a trend-plus-details set")
     if new_J > coeffs.J or new_J < coeffs.j0 - 1:
         raise ValueError(f"new_J must lie in [{coeffs.j0 - 1}, {coeffs.J}]")
     if new_J == coeffs.J:
@@ -376,14 +364,13 @@ def _axis_step(zmin, block, taps, axis: int, *, synthesis: bool):
 
 
 def to_single_trend(coeffs: CoefficientSet) -> CoefficientSet:
-    """Synthesize the equivalent single-trend representation at level J+1.
+    """Synthesize the equivalent trend-only set, whose father block lies at
+    level J+1 (so its j0 is J+1); a trend-only set comes back equal.
 
     Repeatedly applies the synthesis relation trend[j+1, m] =
     sum_q sum_z c^q[m - 2z] coef^q[j, z] one axis at a time (bit a of q
     selects the high-pass filter on axis a); the reconstruction is unchanged.
     """
-    if coeffs.representation == SINGLE_TREND:
-        return coeffs
     blocks = coeffs.blocks
     filters = (coeffs.family.lowpass, coeffs.family.highpass)
     trend = blocks.get((coeffs.j0, 0))
@@ -405,21 +392,21 @@ def to_single_trend(coeffs: CoefficientSet) -> CoefficientSet:
             fine[tuple(slice(lo, lo + s) for lo, s in zip(zmin - fmin, dense.shape))] += dense
         trend = (fmin, fine)
     blocks = _trimmed({(coeffs.J + 1, 0): trend} if trend is not None else {})
-    return dataclasses.replace(coeffs, blocks=blocks, representation=SINGLE_TREND)
+    return dataclasses.replace(coeffs, blocks=blocks, j0=coeffs.J + 1)
 
 
 def dilation_coefficients(fine: CoefficientSet) -> CoefficientSet:
-    """Filter a single-trend set at level j+1 down to trend and details at j.
+    """Filter a trend-only set at level j+1 down to trend and details at j.
 
     This is the analysis half of the filter bank, split axis by axis into
     low- and high-pass halves (bit a of q is the high-pass half on axis a);
     it reproduces direct estimation at the coarse level entry by entry (to
     float precision).
     """
-    if fine.representation != SINGLE_TREND:
-        raise RepresentationError("dilation_coefficients expects a single-trend set")
+    if fine.J != fine.j0 - 1:
+        raise ValueError(f"dilation_coefficients expects a trend-only set (J = j0 - 1), got j0={fine.j0}, J={fine.J}")
     coarse_level = fine.J
-    parts = {0: fine.blocks[(coarse_level + 1, 0)]} if (coarse_level + 1, 0) in fine.blocks else {}
+    parts = {0: fine.blocks[(fine.j0, 0)]} if (fine.j0, 0) in fine.blocks else {}
     for a in range(fine.d):
         parts = {
             q | bit << a: _axis_step(*block, taps, a, synthesis=False)
@@ -431,7 +418,6 @@ def dilation_coefficients(fine: CoefficientSet) -> CoefficientSet:
         blocks=_trimmed({(coarse_level, q): block for q, block in parts.items()}),
         j0=coarse_level,
         J=coarse_level,
-        representation=TREND_DETAILS,
     )
 
 
@@ -499,7 +485,7 @@ def _axis_factors(family: WaveletFamily, j: int, q: int, zmin, shape, axes) -> l
 
 
 @functools.lru_cache(maxsize=64)
-def _grid_columns(order: int, resolution: int, j: int, mother: bool, axis: bytes) -> tuple[int, np.ndarray]:
+def _grid_columns(order: int, j: int, mother: bool, axis: bytes) -> tuple[int, np.ndarray]:
     """Father (or mother) values at level j of every translate that can be
     nonzero somewhere on a grid axis, given as float64 bytes.
 
@@ -508,7 +494,7 @@ def _grid_columns(order: int, resolution: int, j: int, mother: bool, axis: bytes
     floor(2**j max x)] of the finite coordinates; ``_table_at`` is exactly
     +0.0 at every other translate.
     """
-    family = cached_family(order, resolution)
+    family = cached_family(order, DEFAULT_RESOLUTION)
     x = np.frombuffer(axis)
     t = np.ldexp(x, j)
     finite = t[np.isfinite(t)]
@@ -571,11 +557,11 @@ class DensityModel:
             raise ValueError(f"expected {d} axis arrays, got {len(axes)}")
         out = np.zeros(tuple(len(ax) for ax in axes))
         keys = [np.ascontiguousarray(ax, dtype=float).tobytes() for ax in axes]
-        order, r = self.family.order, self.family.dyadic_resolution
+        order = self.family.order
         for (j, q), (zmin, dense) in self.coefficients.blocks.items():
             tensor = dense
             for a, key in enumerate(keys):
-                zlo, columns = _grid_columns(order, r, j, bool((q >> a) & 1), key)
+                zlo, columns = _grid_columns(order, j, bool((q >> a) & 1), key)
                 # the block's translates, with +0.0 where no column is stored
                 factor = np.zeros((len(columns), dense.shape[a]))
                 lo = int(zmin[a]) - zlo
@@ -613,7 +599,7 @@ def fit_model(points, config: EstimatorConfig) -> DensityModel:
     """Full pipeline: estimate, then threshold (if configured), then normalize."""
     coeffs = estimate_coefficients(points, config)
     if config.threshold_constant is not None:
-        coeffs = soft_threshold(coeffs, config.threshold_constant, coeffs.n)
+        coeffs = soft_threshold(coeffs, config.threshold_constant)
     if config.normalize:
         coeffs = normalize(coeffs)
     return DensityModel(coeffs)
@@ -633,7 +619,8 @@ def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None
         "wavelet_order": coeffs.wavelet_order,
         "dyadic_resolution": DEFAULT_RESOLUTION,
         "normalized": coeffs.normalized,
-        "representation": coeffs.representation,
+        # a fixed tag, so that earlier versions still read the file
+        "representation": "trend-plus-details",
     }
     if domain is not None:
         head["domain"] = np.asarray(domain, dtype=float).tolist()
@@ -659,25 +646,19 @@ def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None
         handle.write(document)
 
 
-def _check_coefficients(entries, path, *, d, j0, J, wavelet_order, representation, **_) -> None:
+def _check_coefficients(entries, path, *, d, j0, J, wavelet_order, **_) -> None:
     """Raise DataError where the entries read from a file contradict their
-    own header: order, representation, translate length, orientation, level,
-    or a non-finite value."""
+    own header: order, translate length, orientation, level (father at j0,
+    details at j0..J), or a non-finite value."""
     if not 1 <= wavelet_order <= MAX_ORDER:
         raise DataError(f"{path}: wavelet order {wavelet_order} outside 1..{MAX_ORDER}")
-    if representation not in (TREND_DETAILS, SINGLE_TREND):
-        raise DataError(f"{path}: unknown representation {representation!r}")
-    # single-trend sets hold father entries at J+1 and no details
-    single = representation == SINGLE_TREND
-    father_level = J + 1 if single else j0
-    detail_levels = range(0) if single else range(j0, J + 1)
     for key, val in entries.items():
         if len(key.translate) != d or not 0 <= key.orientation < (1 << d):
             raise DataError(
                 f"{path}: entry {key} needs d={d} translate coordinates and 0 <= q < {1 << d}"
             )
-        if key.level not in (detail_levels if key.orientation else (father_level,)):
-            raise DataError(f"{path}: entry {key} lies outside the levels of a {representation} set")
+        if key.level not in (range(j0, J + 1) if key.orientation else (j0,)):
+            raise DataError(f"{path}: entry {key} lies outside the levels j0={j0}..J={J}")
         if not math.isfinite(val):
             raise DataError(f"{path}: entry {key} has non-finite value {val}")
 
@@ -707,14 +688,19 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
             J=int(doc["J"]),
             wavelet_order=int(doc["wavelet_order"]),
             normalized=bool(doc["normalized"]),
-            representation=str(doc["representation"]),
             kind=str(doc.get("kind", "shape-preserving")),
         )
+        representation = str(doc["representation"])
         resolution = int(doc.get("dyadic_resolution", DEFAULT_RESOLUTION))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed coefficient document ({exc})") from exc
     if resolution != DEFAULT_RESOLUTION:
         raise DataError(f"{path}: dyadic resolution {resolution} is not the tables' {DEFAULT_RESOLUTION}")
+    if representation == "single-trend":
+        # earlier versions tagged a trend-only set at level J+1 this way
+        meta["j0"] = meta["J"] + 1
+    elif representation != "trend-plus-details":
+        raise DataError(f"{path}: unknown representation {representation!r}")
     _check_coefficients(entries, path, **meta)
     extras = {name: doc[name] for name in ("domain", "affine", "provenance") if name in doc}
     return CoefficientSet.from_entries(entries, **meta), extras

@@ -53,7 +53,7 @@ def entries_to_blocks(entries):
 
 def coefficient_sums(points, weights, config):
     family = cached_family(config.wavelet_order, 10)
-    snapped = estimator.snap_to_dyadic(points, family.dyadic_resolution)
+    snapped = estimator.snap_to_dyadic(points)
     details = list(range(1, 1 << points.shape[1]))
     blocks = {}
     for j in range(config.j0, max(config.J, config.j0) + 1):

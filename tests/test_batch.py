@@ -75,7 +75,7 @@ def test_each_k_keeps_the_one_k_arithmetic(d, order):
     pts, cfg = sample(d, 40 + d, n=12), config(d, order)
     family = cached_family(order, 10)
     r = family.dyadic_resolution
-    snapped = estimator.snap_to_dyadic(pts, r).tolist()
+    snapped = estimator.snap_to_dyadic(pts).tolist()
     for k, cs in zip(KS, estimate_coefficient_sets(pts, cfg, KS)):
         w = estimator.consistency_factor(k) / math.sqrt(len(pts)) * np.sqrt(knn_stats(pts, k).volumes)
         for (j, q), (zmin, dense) in cs.blocks.items():
@@ -164,7 +164,7 @@ def test_grid_columns_are_read_only_and_bounded():
     for shift in range(maxsize + 5):
         model.reconstruct_on_axes([np.linspace(0.0, 1.0, 9) + shift * 1e-3])
     assert estimator._grid_columns.cache_info().currsize <= maxsize
-    _, columns = estimator._grid_columns(2, 10, 1, True, np.linspace(0.0, 1.0, 9).tobytes())
+    _, columns = estimator._grid_columns(2, 1, True, np.linspace(0.0, 1.0, 9).tobytes())
     assert not columns.flags.writeable
     with pytest.raises(ValueError):
         columns[0, 0] = 1.0

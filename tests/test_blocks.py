@@ -79,8 +79,8 @@ def test_soft_threshold(d, order, kind):
     expected = oracle.soft_threshold(raw, constant, n)
     if details:
         assert len(raw) - len(details) < len(expected) < len(raw)
-    assert_same(soft_threshold(cs, constant, n), expected)
-    assert_same(normalize(soft_threshold(cs, constant, n)), oracle.normalize(expected))
+    assert_same(soft_threshold(cs, constant), expected)
+    assert_same(normalize(soft_threshold(cs, constant)), oracle.normalize(expected))
 
 
 @CASES

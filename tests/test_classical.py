@@ -3,12 +3,18 @@ import pytest
 
 from wavedens.classical import (
     classical_coefficients,
-    classical_density_at,
     fit_classical,
     rescale_classical,
 )
 from wavedens.errors import DegenerateModelError, EstimationError
-from wavedens.estimator import CoefficientSet, DensityModel, EstimatorConfig, estimate_coefficients, fit_model
+from wavedens.estimator import (
+    CoefficientSet,
+    DensityModel,
+    EstimatorConfig,
+    density_at,
+    estimate_coefficients,
+    fit_model,
+)
 from wavedens.metrics import GridSpec, grid_eval, mass, negative_mass
 from wavedens.wavelets import BasisIndex
 
@@ -66,7 +72,7 @@ class TestClassicalDensity:
     def test_uniform_trend_only_is_one(self):
         rng = np.random.default_rng(2)
         model = fit_classical(rng.random((64, 2)), haar_config())
-        assert classical_density_at(model, (0.4, 0.9)) == 1.0
+        assert density_at(model, (0.4, 0.9)) == 1.0
 
     def test_density_matches_linear_reconstruction(self):
         model = fit_classical(witness_points(), haar_config(wavelet_order=6, J=2))
@@ -94,12 +100,12 @@ class TestRescaleClassical:
         coeffs = CoefficientSet.from_entries(
             {BasisIndex(0, (0, 0), 0): 2.0},
             d=2, n=4, k=1, j0=0, J=-1, wavelet_order=1,
-            normalized=False, representation="trend-plus-details", kind="classical",
+            normalized=False, kind="classical",
         )
         model = DensityModel(coeffs)
         grid = GridSpec.unit(2, 32)
         rescaled = rescale_classical(model, grid)
-        assert classical_density_at(rescaled, (0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert density_at(rescaled, (0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
         assert mass(grid_eval(rescaled, grid)) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_mass_unchanged(self):
@@ -119,7 +125,7 @@ class TestRescaleClassical:
         coeffs = CoefficientSet.from_entries(
             {BasisIndex(0, (0, 0), 0): -1.0},
             d=2, n=4, k=1, j0=0, J=-1, wavelet_order=1,
-            normalized=False, representation="trend-plus-details", kind="classical",
+            normalized=False, kind="classical",
         )
         with pytest.raises(DegenerateModelError):
             rescale_classical(DensityModel(coeffs), GridSpec.unit(2, 16))

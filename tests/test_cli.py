@@ -11,9 +11,11 @@ from wavedens import cli
 from wavedens.cli import main, read_points_csv
 from wavedens.errors import DataError, KConsistencyWarning
 from wavedens.estimator import (
+    DensityModel,
     EstimatorConfig,
     fit_model,
     model_from_file,
+    read_coefficients,
     to_single_trend,
     write_coefficients,
 )
@@ -282,11 +284,12 @@ class TestEvalRejectsBadCoefficientFiles:
             (set_header("wavelet_order", 0), "wavelet order"),
             (repeat_first_entry, "appears more than once"),
             (set_header("dyadic_resolution", 12), "dyadic resolution 12"),
+            (set_header("representation", "wavelet-packet"), "unknown representation"),
         ],
         ids=[
             "z-length", "q-above-range", "q-negative", "nan-value", "inf-value",
             "detail-above-J", "trend-off-j0", "order-11", "order-0", "duplicate-entry",
-            "resolution-12",
+            "resolution-12", "representation-unknown",
         ],
     )
     def test_exits_2(self, uniform_csv, tmp_path, capsys, mutate, message):
@@ -309,6 +312,30 @@ class TestEvalRejectsBadCoefficientFiles:
         detail["entries"][0]["q"] = 1
         path.write_text(json.dumps(detail))
         assert main(["eval", str(path), "--grid", "4"]) == 2
+
+    def test_legacy_single_trend_file_reads_as_trend_only(self, tmp_path):
+        # earlier versions kept j0 and J and tagged the father block at J+1
+        rng = np.random.default_rng(6)
+        cs = fit_model(rng.random((64, 2)), EstimatorConfig(wavelet_order=2, j0=0, J=1, k=1)).coefficients
+        single = to_single_trend(cs)
+        doc = {
+            "schema_version": 1, "kind": "shape-preserving", "d": 2, "n": 64, "k": 1,
+            "j0": 0, "J": 1, "wavelet_order": 2, "dyadic_resolution": 10,
+            "normalized": True, "representation": "single-trend",
+            "entries": [
+                {"j": key.level, "z": list(key.translate), "q": key.orientation, "value": val}
+                for key, val in single.entries.items()
+            ],
+        }
+        assert {item["j"] for item in doc["entries"]} == {2}
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(doc))
+        loaded, _ = read_coefficients(path)
+        assert (loaded.j0, loaded.J) == (2, 1)
+        probe = rng.random((50, 2))
+        back, _ = model_from_file(path)
+        np.testing.assert_array_equal(back.density(probe), DensityModel(single).density(probe))
+        assert main(["eval", str(path), "--grid", "4", "-o", str(tmp_path / "out.csv")]) == 0
 
 
 class TestBench:

@@ -7,12 +7,7 @@ import pytest
 
 from wavedens import estimator
 from wavedens.classical import classical_coefficients, fit_classical
-from wavedens.errors import (
-    DataError,
-    DegenerateModelError,
-    EstimationError,
-    RepresentationError,
-)
+from wavedens.errors import DataError, DegenerateModelError, EstimationError
 from wavedens.estimator import (
     CoefficientSet,
     DensityModel,
@@ -55,7 +50,7 @@ def haar_trend_config(**kw):
 def make_set(entries, **kw):
     meta = dict(
         d=1, n=10, k=1, j0=0, J=0, wavelet_order=1,
-        normalized=False, representation="trend-plus-details",
+        normalized=False,
     )
     meta.update(kw)
     return CoefficientSet.from_entries(entries, **meta)
@@ -179,46 +174,43 @@ class TestSoftThreshold:
     def test_shrinks_detail(self):
         # j=0, n=25, C=1 gives threshold 0.2
         cs = make_set({BasisIndex(0, (0,), 1): 0.5}, n=25)
-        out = soft_threshold(cs, 1.0, 25)
+        out = soft_threshold(cs, 1.0)
         assert out.entries[BasisIndex(0, (0,), 1)] == pytest.approx(0.3, abs=1e-15)
 
     def test_removes_small_detail(self):
         cs = make_set({BasisIndex(0, (0,), 1): -0.1}, n=25)
-        out = soft_threshold(cs, 1.0, 25)
+        out = soft_threshold(cs, 1.0)
         assert BasisIndex(0, (0,), 1) not in out.entries
 
     def test_zero_constant_is_identity(self):
         cs = make_set({BasisIndex(0, (0,), 1): 0.5})
-        assert soft_threshold(cs, 0.0, 25) is cs
+        assert soft_threshold(cs, 0.0) is cs
 
     def test_trend_untouched(self):
         cs = make_set({BasisIndex(0, (0,), 0): 0.01, BasisIndex(0, (1,), 1): 0.01}, n=25)
-        out = soft_threshold(cs, 1.0, 25)
+        out = soft_threshold(cs, 1.0)
         assert out.entries[BasisIndex(0, (0,), 0)] == 0.01
         assert BasisIndex(0, (1,), 1) not in out.entries
 
     def test_level_dependent_threshold(self):
         # t_j = C sqrt(j+1)/sqrt(n): j=3, C=1, n=16 gives 0.5
         cs = make_set({BasisIndex(3, (0,), 1): 0.75}, J=3, n=16)
-        out = soft_threshold(cs, 1.0, 16)
+        out = soft_threshold(cs, 1.0)
         assert out.entries[BasisIndex(3, (0,), 1)] == pytest.approx(0.25, abs=1e-15)
 
-    def test_single_trend_rejected(self):
-        cs = make_set({BasisIndex(1, (0,), 0): 1.0}, representation="single-trend")
-        with pytest.raises(RepresentationError):
-            soft_threshold(cs, 1.0, 25)
+    def test_trend_only_entries_unchanged(self):
+        cs = make_set({BasisIndex(1, (0,), 0): 0.01, BasisIndex(1, (1,), 0): -0.02}, j0=1, J=0, n=25)
+        assert soft_threshold(cs, 1.0).entries == cs.entries
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):
-            soft_threshold(make_set({}), -1.0, 25)
+            soft_threshold(make_set({}), -1.0)
 
 
 class TestFilterBank:
-    def test_trend_only_relabels(self):
-        cs = make_set({BasisIndex(0, (0,), 0): 1.0}, J=-1)
-        out = to_single_trend(cs)
-        assert out.representation == "single-trend"
-        assert out.entries == {BasisIndex(0, (0,), 0): 1.0}
+    def test_trend_only_comes_back_unchanged(self):
+        cs = make_set({BasisIndex(0, (0,), 0): 1.0, BasisIndex(0, (2,), 0): -0.5}, J=-1)
+        assert to_single_trend(cs) == cs
 
     def test_haar_synthesis_hand_example(self):
         cs = make_set({BasisIndex(0, (0,), 0): 1.0, BasisIndex(0, (0,), 1): 1.0})
@@ -231,12 +223,12 @@ class TestFilterBank:
         a, b = 1.7, -0.4
         fine = make_set(
             {BasisIndex(1, (0,), 0): a, BasisIndex(1, (1,), 0): b},
-            J=0, representation="single-trend",
+            j0=1, J=0,
         )
         out = dilation_coefficients(fine)
         assert out.entries[BasisIndex(0, (0,), 0)] == pytest.approx((a + b) / math.sqrt(2), abs=1e-14)
         assert out.entries[BasisIndex(0, (0,), 1)] == pytest.approx((a - b) / math.sqrt(2), abs=1e-14)
-        assert out.representation == "trend-plus-details"
+        assert (out.j0, out.J) == (0, 0)
 
     def test_direct_equals_filtered_db2(self):
         rng = np.random.default_rng(5)
@@ -312,7 +304,7 @@ class TestFilterBank:
         assert synthesis_peak < 16 << 20 and analysis_peak < 16 << 20
 
     def test_dilation_requires_single_trend(self):
-        with pytest.raises(RepresentationError):
+        with pytest.raises(ValueError):
             dilation_coefficients(make_set({BasisIndex(0, (0,), 0): 1.0}))
 
 
@@ -545,7 +537,7 @@ class TestScatter:
         cfg = EstimatorConfig(wavelet_order=order, j0=0, J=J, k=1)
         family = cached_family(order, 10)
         r = family.dyadic_resolution
-        snapped = np.ldexp(estimator.snap_to_dyadic(pts, r).astype(float), -r)
+        snapped = np.ldexp(estimator.snap_to_dyadic(pts).astype(float), -r)
         if classical:
             coeffs = classical_coefficients(pts, cfg)
             weights = np.full(n, 1.0 / n)
@@ -639,7 +631,7 @@ class TestCoefficientFiles:
         write_coefficients(path, model.coefficients, provenance={"note": "test"})
         loaded, extras = read_coefficients(path)
         assert loaded.entries == model.coefficients.entries
-        assert loaded.representation == model.coefficients.representation
+        assert (loaded.j0, loaded.J) == (0, 1)
         assert (loaded.d, loaded.n, loaded.k) == (2, 150, 2)
         assert extras["provenance"] == {"note": "test"}
         back, _ = model_from_file(path)

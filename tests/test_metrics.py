@@ -42,7 +42,7 @@ class TestGridEval:
         coeffs = CoefficientSet.from_entries(
             {BasisIndex(1, (0, 0), 0): 1.0},
             d=2, n=1, k=1, j0=1, J=0, wavelet_order=1,
-            normalized=False, representation="trend-plus-details",
+            normalized=False,
         )
         field = grid_eval(DensityModel(coeffs), GridSpec.unit(2, 8))
         # support is the lower-left quadrant; value (2^(d j/2))^2 = 4

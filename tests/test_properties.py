@@ -91,7 +91,7 @@ def test_coefficient_file_round_trip_is_exact(tmp_path_factory, fit):
 def test_blocks_are_sorted_trimmed_and_rebuilt_from_entries(fit):
     points, config = fit
     raw = estimate_coefficients(points, config)
-    for cs in (raw, fit_model(points, config).coefficients, soft_threshold(raw, 1.0, raw.n), to_single_trend(raw)):
+    for cs in (raw, fit_model(points, config).coefficients, soft_threshold(raw, 1.0), to_single_trend(raw)):
         assert list(cs.blocks) == sorted(cs.blocks)
         for _, dense in cs.blocks.values():
             for axis in range(dense.ndim):
@@ -116,6 +116,7 @@ def test_synthesis_then_analysis_is_the_identity(fit):
     points, config = fit
     cs = estimate_coefficients(points, dataclasses.replace(config, J=config.j0))
     single = to_single_trend(cs)
+    assert (single.j0, single.J) == (cs.J + 1, cs.J)
     mass = normalization_mass(cs)
     assert abs(normalization_mass(single) - mass) <= 1e-12 * mass
     back = dilation_coefficients(single).entries
