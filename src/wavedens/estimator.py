@@ -595,9 +595,27 @@ def density_at(model: DensityModel, x) -> float:
     return float(model.density(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
+def _pyramid_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
+    """``estimate_coefficients`` through Mallat's pyramid: one father scatter
+    at level J+1, then J+1-j0 analysis steps, each keeping its details and
+    passing its trend down; a trend-only config runs no step.  Agrees with
+    the direct scatter to rounding (the two-scale relation at snapped
+    coordinates)."""
+    trend = estimate_coefficients(points, dataclasses.replace(config, j0=config.J + 1))
+    details = {}
+    for _ in range(config.J + 1 - config.j0):
+        coarse = dilation_coefficients(trend)
+        details.update((key, block) for key, block in coarse.blocks.items() if key[1])
+        father = {key: block for key, block in coarse.blocks.items() if not key[1]}
+        trend = dataclasses.replace(coarse, blocks=father, J=coarse.j0 - 1)
+    blocks = dict(sorted({**trend.blocks, **details}.items()))
+    return dataclasses.replace(trend, blocks=blocks, j0=config.j0, J=config.J)
+
+
 def fit_model(points, config: EstimatorConfig) -> DensityModel:
-    """Full pipeline: estimate, then threshold (if configured), then normalize."""
-    coeffs = estimate_coefficients(points, config)
+    """Full pipeline: estimate (through the pyramid), then threshold (if
+    configured), then normalize."""
+    coeffs = _pyramid_coefficients(points, config)
     if config.threshold_constant is not None:
         coeffs = soft_threshold(coeffs, config.threshold_constant)
     if config.normalize:
@@ -646,12 +664,16 @@ def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None
         handle.write(document)
 
 
-def _check_coefficients(entries, path, *, d, j0, J, wavelet_order, **_) -> None:
-    """Raise DataError where the entries read from a file contradict their
-    own header: order, translate length, orientation, level (father at j0,
-    details at j0..J), or a non-finite value."""
+def _check_coefficients(entries, path, *, d, j0, J, wavelet_order, kind, **_) -> None:
+    """Raise DataError where a file's header is invalid (kind, order, J below
+    j0 - 1) or its entries contradict it: translate length, orientation,
+    level (father at j0, details at j0..J), or a non-finite value."""
+    if kind not in ("shape-preserving", "classical"):
+        raise DataError(f"{path}: unknown kind {kind!r}")
     if not 1 <= wavelet_order <= MAX_ORDER:
         raise DataError(f"{path}: wavelet order {wavelet_order} outside 1..{MAX_ORDER}")
+    if J < j0 - 1:
+        raise DataError(f"{path}: J={J} lies below j0 - 1 = {j0 - 1}")
     for key, val in entries.items():
         if len(key.translate) != d or not 0 <= key.orientation < (1 << d):
             raise DataError(

@@ -269,6 +269,13 @@ def lift_last_detail(doc):
     doc["entries"][-1]["j"] = doc["J"] + 1
 
 
+def relabel_trend_only_below_j0(doc):
+    # keep the db2 father block alone, as a trend-only set at level 3, but
+    # with J = 0 where a trend-only set at j0 = 3 has J = 2
+    doc["entries"] = [{**item, "j": 3} for item in doc["entries"] if item["q"] == 0]
+    doc["j0"], doc["J"] = 3, 0
+
+
 class TestEvalRejectsBadCoefficientFiles:
     @pytest.mark.parametrize(
         "mutate, message",
@@ -285,11 +292,13 @@ class TestEvalRejectsBadCoefficientFiles:
             (repeat_first_entry, "appears more than once"),
             (set_header("dyadic_resolution", 12), "dyadic resolution 12"),
             (set_header("representation", "wavelet-packet"), "unknown representation"),
+            (relabel_trend_only_below_j0, "J=0 lies below j0 - 1 = 2"),
+            (set_header("kind", "Classical"), "unknown kind"),
         ],
         ids=[
             "z-length", "q-above-range", "q-negative", "nan-value", "inf-value",
             "detail-above-J", "trend-off-j0", "order-11", "order-0", "duplicate-entry",
-            "resolution-12", "representation-unknown",
+            "resolution-12", "representation-unknown", "J-below-j0", "kind-unknown",
         ],
     )
     def test_exits_2(self, uniform_csv, tmp_path, capsys, mutate, message):

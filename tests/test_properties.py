@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from test_pyramid import assert_matches_direct
 from wavedens.estimator import (
     CoefficientSet,
     EstimatorConfig,
@@ -60,6 +61,12 @@ def test_density_is_finite_and_nonnegative(fit, queries):
 def test_normalized_mass_is_one(fit):
     points, config = fit
     assert abs(normalization_mass(fit_model(points, config).coefficients) - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(fits())
+def test_fit_pyramid_matches_direct_scatter(fit):
+    assert_matches_direct(*fit)
 
 
 @PROPERTY
