@@ -46,7 +46,7 @@ SCHEMA_VERSION = 1
 # bytes of per-row intermediates that coefficient estimation and point
 # reconstruction each hold at once; estimation adds the chunks in point order,
 # so its sums are the same bits for any chunk size
-_CHUNK_BYTES = 2 << 20
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,48 +180,62 @@ def snap_to_dyadic(points: np.ndarray) -> np.ndarray:
     return np.floor(np.ldexp(points, DEFAULT_RESOLUTION)).astype(np.int64)
 
 
-def _band_table_values(family: WaveletFamily, snapped: np.ndarray, j: int):
-    """Exact father/mother table values on the translate band at level j.
+def _band(family: WaveletFamily, snapped: np.ndarray, j: int):
+    """The translate band of every point at level j.
 
-    Returns (z_base, father_vals, mother_vals) where z_base is the smallest
-    banded translate per point and axis, and the value arrays have shape
-    (n, d, 2p-1) over per-axis offsets.
+    Returns (z_base, frac): z_base is the smallest banded translate per
+    point and axis, and frac the point's offset within its level-j cell in
+    table steps, so that translate z_base + o sits at table index
+    frac + ((2p-2-o) << r).
     """
     r = family.dyadic_resolution
-    width = family.support_length
     t_idx = snapped << j
-    z_base = (t_idx >> r) - (width - 1)
-    offs = np.arange(width, dtype=np.int64)
-    table_idx = t_idx[:, :, None] - ((z_base[:, :, None] + offs) << r)
-    return z_base, family.father_table[table_idx], family.mother_table[table_idx]
+    return (t_idx >> r) - (family.support_length - 1), t_idx & ((1 << r) - 1)
+
+
+def _band_rows(family: WaveletFamily, table: np.ndarray) -> np.ndarray:
+    """The table as a (2**r, 2p-1) array whose row frac holds the values at
+    the 2p-1 band offsets of ``_band``, so one row gather serves a point."""
+    width = family.support_length
+    return np.ascontiguousarray(table[: width << family.dyadic_resolution].reshape(width, -1)[::-1].T)
 
 
 def _accumulate_level(family, snapped, qs, weights, j):
     """Scatter-add weighted tensor basis values into dense per-q blocks, chunk
     by chunk, for every row of the (m, n) ``weights``; returns m block maps.
 
-    The band-table gather, the flat indices and the tensor products of a
-    chunk are shared by all rows, and each row's weighted products and sums
-    keep the arithmetic of a one-row call."""
+    The band-table gather (of the tables the orientations use), the flat
+    indices and the tensor products of a chunk are shared by all rows, and
+    each row's weighted products and sums keep the arithmetic of a one-row
+    call."""
     n, d = snapped.shape
     width = family.support_length
     # the band start is monotone in each coordinate, so the extreme points bound it
-    zmin, zmax = _band_table_values(family, np.stack([snapped.min(axis=0), snapped.max(axis=0)]), j)[0]
+    zmin, zmax = _band(family, np.stack([snapped.min(axis=0), snapped.max(axis=0)]), j)[0]
     shape = tuple(zmax - zmin + width)
-    offs = np.ravel_multi_index(tuple(np.indices((width,) * d).reshape(d, -1)), shape)
+    strides = np.array([math.prod(shape[a + 1 :]) for a in range(d)], dtype=np.int64)
+    offs = np.indices((width,) * d).reshape(d, -1).T @ strides
     rows = max(1, _CHUNK_BYTES // (8 * (3 * offs.size + 3 * d * width)))
     scale = 2.0 ** (d * j / 2.0)
-    dense = np.zeros((len(weights), len(qs), int(np.prod(shape))))
+    # the tables the orientations use: bit a of q picks the mother on axis a
+    tables = (family.father_table, family.mother_table)
+    band_rows = {bit: _band_rows(family, tables[bit]) for bit in {(q >> a) & 1 for q in qs for a in range(d)}}
+    dense = np.zeros((len(weights), len(qs), math.prod(shape)))
+    # flat indices and weighted products of a chunk, reused chunk after chunk
+    lin = np.empty((min(rows, n), offs.size), dtype=np.int64)
+    weighted = np.empty(lin.shape)
     for start in range(0, n, rows):
-        z_base, fvals, mvals = _band_table_values(family, snapped[start : start + rows], j)
-        lin = (np.ravel_multi_index(tuple((z_base - zmin).T), shape)[:, None] + offs).ravel()
+        z_base, frac = _band(family, snapped[start : start + rows], j)
+        vals = {bit: table[frac] for bit, table in band_rows.items()}
+        size = len(z_base)
+        np.add(((z_base - zmin) @ strides)[:, None], offs, out=lin[:size])
         for iq, q in enumerate(qs):
-            prod = (mvals if q & 1 else fvals)[:, 0]
+            prod = vals[q & 1][:, 0]
             for a in range(1, d):
-                u = mvals[:, a] if (q >> a) & 1 else fvals[:, a]
-                prod = (prod[:, :, None] * u[:, None, :]).reshape(len(u), -1)
+                prod = np.einsum("ni,nj->nij", prod, vals[(q >> a) & 1][:, a]).reshape(size, -1)
             for sums, w in zip(dense[:, iq], weights):
-                np.add.at(sums, lin, (prod * (w[start : start + rows] * scale)[:, None]).ravel())
+                np.multiply(prod, (w[start : start + rows] * scale)[:, None], out=weighted[:size])
+                np.add.at(sums, lin[:size].ravel(), weighted[:size].ravel())
     return [{(j, q): (zmin, block.reshape(shape)) for q, block in zip(qs, level)} for level in dense]
 
 
@@ -238,7 +252,7 @@ def _coefficient_sums(points, weights, config: EstimatorConfig):
     return [_trimmed(blocks) for blocks in sums]
 
 
-def estimate_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
+def estimate_coefficients(points, config: EstimatorConfig, *, _stacklevel: int = 2) -> CoefficientSet:
     """Estimate raw (unnormalized, unthresholded) coefficients of sqrt(f).
 
     Neighbour statistics are computed once and shared across all basis
@@ -246,7 +260,7 @@ def estimate_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
     whose accumulated sum is exactly zero are absent from the entries view.
     This is the one-k case of ``estimate_coefficient_sets``.
     """
-    return _estimate_sets(points, config, [config.k])[0]
+    return _estimate_sets(points, config, [config.k], _stacklevel + 1)[0]
 
 
 def estimate_coefficient_sets(points, config: EstimatorConfig, ks) -> list[CoefficientSet]:
@@ -256,10 +270,12 @@ def estimate_coefficient_sets(points, config: EstimatorConfig, ks) -> list[Coeff
     One k-d tree query serves every k, and the basis values of each point
     are looked up once and weighted by each k's ball volumes.
     """
-    return _estimate_sets(points, config, ks)
+    return _estimate_sets(points, config, ks, 3)
 
 
-def _estimate_sets(points, config: EstimatorConfig, ks) -> list[CoefficientSet]:
+def _estimate_sets(points, config: EstimatorConfig, ks, stacklevel: int) -> list[CoefficientSet]:
+    """The sets of ``estimate_coefficient_sets``; a k warning names the frame
+    ``stacklevel`` calls up from here, as ``warnings.warn`` counts them."""
     pts = as_points(points)
     n, d = pts.shape
     if n < 2:
@@ -271,8 +287,7 @@ def _estimate_sets(points, config: EstimatorConfig, ks) -> list[CoefficientSet]:
     for k in ks:
         verdict = validate_k(n, k)
         if not verdict.ok:
-            # attributed to the caller of the public entry point
-            warnings.warn(verdict.message, KConsistencyWarning, stacklevel=3)
+            warnings.warn(verdict.message, KConsistencyWarning, stacklevel=stacklevel)
     weights = np.stack([consistency_factor(s.k) / math.sqrt(n) * np.sqrt(s.volumes) for s in _knn_stats(pts, ks)])
     return [
         CoefficientSet(
@@ -601,7 +616,8 @@ def _pyramid_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
     passing its trend down; a trend-only config runs no step.  Agrees with
     the direct scatter to rounding (the two-scale relation at snapped
     coordinates)."""
-    trend = estimate_coefficients(points, dataclasses.replace(config, j0=config.J + 1))
+    # a k warning names the caller of fit_model, two frames above this one
+    trend = estimate_coefficients(points, dataclasses.replace(config, j0=config.J + 1), _stacklevel=4)
     details = {}
     for _ in range(config.J + 1 - config.j0):
         coarse = dilation_coefficients(trend)

@@ -17,6 +17,10 @@ from scipy.special import gammaln
 
 from .errors import EstimationError
 
+# points per k-d tree query; slices of the leaf order keep the query's
+# distance and index arrays small
+_QUERY_ROWS = 1024
+
 
 def as_points(points) -> np.ndarray:
     """Validate and return an (n, d) float array of sample points."""
@@ -65,11 +69,17 @@ def _knn_stats(pts: np.ndarray, ks) -> list[NeighborStats]:
     for k in ks:
         if not 1 <= k <= n - 1:
             raise EstimationError(f"k must satisfy 1 <= k <= n - 1, got k={k}, n={n}")
-    # query the (k+1)-th nearest including self: dropping the closest zero
-    # leaves the k-th order statistic among the other points, ties included
-    dist, _ = cKDTree(pts).query(pts, k=[k + 1 for k in ks])
+    tree = cKDTree(pts)
+    radii = np.empty((len(ks), n))
+    # query in the tree's leaf order, so that consecutive queries walk the
+    # same nodes; each query is independent, so every radius keeps its bits.
+    # The (k+1)-th nearest includes self: dropping the closest zero leaves
+    # the k-th order statistic among the other points, ties included
+    for start in range(0, n, _QUERY_ROWS):
+        rows = tree.indices[start : start + _QUERY_ROWS]
+        radii[:, rows] = tree.query(pts[rows], k=[k + 1 for k in ks])[0].T
     c0 = unit_ball_volume(d)
-    return [NeighborStats(k=k, radii=r, volumes=c0 * r**d, unit_ball=c0) for k, r in zip(ks, dist.T.copy())]
+    return [NeighborStats(k=k, radii=r, volumes=c0 * r**d, unit_ball=c0) for k, r in zip(ks, radii)]
 
 
 class KCondition(NamedTuple):

@@ -37,7 +37,7 @@ from .estimator import (
     normalize,
     truncate_details,
 )
-from .metrics import Field, GridSpec, grid_eval, mise_aggregate
+from .metrics import Field, GridSpec, grid_eval, ise, mass, mise_aggregate, negative_mass
 from .neighbors import knn_stats, unit_ball_volume
 from .wavelets import DEFAULT_RESOLUTION, cached_family
 
@@ -343,11 +343,11 @@ class BenchmarkReport:
             handle.write("\n".join(lines) + "\n")
 
 
-def _replicate_cell(spec, config, n, replication, truth_values, grid):
+def _replicate_cell(spec, config, n, replication, truth: Field):
     """One Monte-Carlo replication: draw a sample, fit, evaluate every row.
 
-    Returns {(J, k, estimator): (ise, negative_mass, seconds)} or an error
-    marker per (k, estimator) group.
+    Returns {(J, k, estimator): (ise, negative_mass, seconds, error)}, where
+    error is None or the message of the row's failure.
     """
     rng = replication_rng(config.seed, spec.name, n, replication)
     points = sample_mixture(spec, n, rng)
@@ -360,20 +360,16 @@ def _replicate_cell(spec, config, n, replication, truth_values, grid):
             try:
                 coeffs = truncate_details(raw, J)
                 if estimator == SHAPE_PRESERVING:
-                    model = DensityModel(normalize(coeffs))
-                    values = grid_eval(model, grid).values
+                    field = grid_eval(DensityModel(normalize(coeffs)), truth.grid)
                 else:
                     # rescaling is linear, so dividing the field by its mass
                     # equals rescaling the coefficients
-                    model = DensityModel(coeffs)
-                    values = grid_eval(model, grid).values
-                    total = float(grid.cell_volume * values.sum())
+                    field = grid_eval(DensityModel(coeffs), truth.grid)
+                    total = mass(field)
                     if total <= 0.0:
                         raise EstimationError("non-positive grid mass")
-                    values = values / total
-                err2 = float(grid.cell_volume * np.sum((values - truth_values) ** 2))
-                neg = float(grid.cell_volume * np.minimum(values, 0.0).sum())
-                out[(J, k, estimator)] = (err2, neg, time.perf_counter() - t0, None)
+                    field = Field(field.grid, field.values / total)
+                out[(J, k, estimator)] = (ise(field, truth), negative_mass(field), time.perf_counter() - t0, None)
             except EstimationError as exc:
                 out[(J, k, estimator)] = (None, None, time.perf_counter() - t0, str(exc))
 
@@ -442,10 +438,10 @@ def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> Benchm
     for density in config.densities:
         spec = get_density(density)
         grid = GridSpec.from_box(spec.domain, config.grid_resolution)
-        truth = true_density_field(spec, grid).values
+        truth = true_density_field(spec, grid)
         for n in config.sample_sizes:
             def task(m, _n=n, _spec=spec):
-                return _replicate_cell(_spec, config, _n, m, truth, grid)
+                return _replicate_cell(_spec, config, _n, m, truth)
 
             # catch_warnings swaps process-wide filters: never enter it in a worker
             with warnings.catch_warnings():

@@ -18,6 +18,7 @@ from wavedens.estimator import (
     EstimatorConfig,
     estimate_coefficient_sets,
     estimate_coefficients,
+    fit_model,
     normalize,
 )
 from wavedens.metrics import GridSpec
@@ -113,6 +114,19 @@ def test_batch_validates_like_one_k_calls():
     with pytest.warns(KConsistencyWarning) as record:
         estimate_coefficients(pts, dataclasses.replace(cfg, k=8))
     assert [w.filename for w in record] == [__file__]
+
+
+def test_k_warning_names_the_callers_line():
+    pts, cfg = np.random.default_rng(5).random((20, 2)), dataclasses.replace(config(2, 1), k=15)
+    calls = [
+        lambda: fit_model(pts, cfg),
+        lambda: estimate_coefficients(pts, cfg),
+        lambda: estimate_coefficient_sets(pts, cfg, (15,)),
+    ]
+    for call in calls:
+        with pytest.warns(KConsistencyWarning) as record:
+            call()
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, call.__code__.co_firstlineno)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

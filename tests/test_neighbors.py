@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavedens.errors import EstimationError
-from wavedens.neighbors import knn_stats, unit_ball_volume, validate_k
+from wavedens.neighbors import _knn_stats, knn_stats, unit_ball_volume, validate_k
 
 
 def brute_force_radii(points, k):
@@ -88,6 +88,35 @@ class TestKnnStats:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             knn_stats(np.array([[0.0, np.nan], [1.0, 1.0]]), 1)
+
+
+def lattice_with_duplicates(n, d, seed):
+    """Points on the 1/256 lattice, so every squared distance is exact, with
+    the last 10% repeating the first: many tied and zero radii."""
+    pts = np.random.default_rng(seed).integers(0, 256, size=(n, d)) / 256
+    pts[-(n // 10) :] = pts[: n // 10]
+    return pts
+
+
+def chunked_brute_force_radii(pts, k, rows=256):
+    """The k-th order statistic of each point's distances to the others."""
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), rows):
+        diff = pts[start : start + rows, None, :] - pts[None, :, :]
+        out[start : start + rows] = np.partition(np.sqrt((diff * diff).sum(axis=-1)), k, axis=1)[:, k]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_leaf_order_queries_land_on_their_own_rows(d):
+    # thousands of points: a tree of many leaves, queried in several slices
+    pts = lattice_with_duplicates(3000, d, seed=d)
+    perm = np.random.default_rng(10 + d).permutation(len(pts))
+    both = _knn_stats(pts, (1, 4))
+    assert np.any(both[0].radii == 0.0)
+    for k, stats in zip((1, 4), both):
+        assert np.array_equal(stats.radii, chunked_brute_force_radii(pts, k))
+        assert knn_stats(pts[perm], k).radii.tobytes() == stats.radii[perm].tobytes()
 
 
 class TestValidateK:
