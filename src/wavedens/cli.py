@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +42,9 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
 
+# rows the CSV writer formats with one `%`; bounds the text held at once
+_CSV_CHUNK_ROWS = 1024
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -70,7 +74,7 @@ def read_points_csv(path, dim: int | None = None) -> np.ndarray:
     rows = []
     d = dim
     header_seen = False
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -106,25 +110,19 @@ def _provenance(args, seed=None) -> dict:
     return {**software_versions(), "flags": flags, "seed": seed}
 
 
-@contextlib.contextmanager
-def _output(path):
-    """The file at ``path`` opened for writing, or stdout when no path is
-    given; only a file opened here is closed."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        yield handle
-
-
-def _write_field_csv(path, centers, columns, header, provenance_line):
-    with _output(path) as handle:
-        handle.write(provenance_line + "\n")
-        handle.write(header + "\n")
-        for i in range(centers.shape[0]):
-            coords = ",".join(repr(float(c)) for c in centers[i])
-            vals = ",".join(repr(float(col[i])) for col in columns)
-            handle.write(f"{coords},{vals}\n")
+def _write_csv(path, head_lines, columns):
+    """Write ``head_lines``, then one row per index of the equal-length 1-D
+    ``columns`` to ``path``, or to stdout (left open) when no path is given.
+    Each value is its Python ``repr`` (``%r``): the shortest round trip of a
+    float, the digits of an int.  Rows are formatted in chunks by one ``%``
+    each."""
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as handle:
+        for line in head_lines:
+            handle.write(line + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            handle.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +170,10 @@ def cmd_fit(args) -> int:
         grid = GridSpec.unit(points.shape[1], args.grid)
         field = grid_eval(model, grid)
         out = args.grid_output or args.output.rsplit(".", 1)[0] + ".grid.csv"
-        centers = grid.cell_centers()
         header = ",".join(f"x{a + 1}" for a in range(grid.d)) + ",density"
-        _write_field_csv(
-            out, centers, [field.values.ravel()], header,
-            f"# wavedens {__version__} fit grid; seed={args.seed}",
+        _write_csv(
+            out, [f"# wavedens {__version__} fit grid; seed={args.seed}", header],
+            [*grid.cell_centers().T, field.values.ravel()],
         )
         print(f"wrote {out}", file=sys.stderr)
     return 0
@@ -193,8 +190,6 @@ def cmd_eval(args) -> int:
         )
     if args.points is not None:
         pts = read_points_csv(args.points, model.d)
-        if pts.shape[1] != model.d:
-            raise DataError(f"points have dimension {pts.shape[1]}, model expects {model.d}")
     elif args.grid is not None:
         box = extras.get("domain")
         grid = (
@@ -209,9 +204,9 @@ def cmd_eval(args) -> int:
     if affine is not None:
         f_vals = f_vals * affine.jacobian
     header = ",".join(f"x{a + 1}" for a in range(model.d)) + ",g,f"
-    _write_field_csv(
-        args.output, pts, [g_vals, f_vals], header,
-        f"# wavedens {__version__} eval; model={args.coefficients}",
+    _write_csv(
+        args.output, [f"# wavedens {__version__} eval; model={args.coefficients}", header],
+        [*pts.T, g_vals, f_vals],
     )
     if args.output:
         print(f"wrote {args.output}", file=sys.stderr)
@@ -362,25 +357,22 @@ def cmd_check(args) -> int:
 def cmd_wavelet_table(args) -> int:
     family = build_family(args.wavelet, args.resolution)
     step = 2.0 ** -family.dyadic_resolution
-    with _output(args.output) as handle:
-        handle.write(f"# wavedens {__version__} wavelet-table db{args.wavelet} r={args.resolution}\n")
-        handle.write("x,phi,psi\n")
-        for i in range(family.father_table.size):
-            handle.write(
-                f"{repr(i * step)},{repr(float(family.father_table[i]))},"
-                f"{repr(float(family.mother_table[i]))}\n"
-            )
+    _write_csv(
+        args.output,
+        [f"# wavedens {__version__} wavelet-table db{args.wavelet} r={args.resolution}", "x,phi,psi"],
+        [np.arange(family.father_table.size) * step, family.father_table, family.mother_table],
+    )
     return 0
 
 
 def _knn_audit(args) -> int:
     points = read_points_csv(args.points, args.dim)
     stats = knn_stats(points, args.k)
-    with _output(args.output) as handle:
-        handle.write(f"# wavedens {__version__} check knn; k={args.k}\n")
-        handle.write("index,radius,volume\n")
-        for i in range(points.shape[0]):
-            handle.write(f"{i},{repr(float(stats.radii[i]))},{repr(float(stats.volumes[i]))}\n")
+    _write_csv(
+        args.output,
+        [f"# wavedens {__version__} check knn; k={args.k}", "index,radius,volume"],
+        [np.arange(points.shape[0]), stats.radii, stats.volumes],
+    )
     return 0
 
 

@@ -69,6 +69,14 @@ class TestReadPointsCsv:
         path.write_text("x,y\n0.1,0.2\n")
         np.testing.assert_allclose(read_points_csv(path, dim=2), [[0.1, 0.2]])
 
+    @pytest.mark.parametrize("dim", [None, 2])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, dim):
+        path = tmp_path / "pts.csv"
+        path.write_text("\ufeff0.1,0.2\n0.3,0.4\n0.5,0.6\n", encoding="utf-8")
+        np.testing.assert_array_equal(
+            read_points_csv(path, dim), [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+        )
+
 
 class TestFit:
     def test_hand_fixture_coefficient(self, tmp_path, capsys):
