@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .classical import fit_classical, rescale_classical
-from .errors import DataError, KConsistencyWarning, WavedensError
+from .errors import DataError, DegenerateModelError, KConsistencyWarning, WavedensError
 from .estimator import (
     EstimatorConfig,
     fit_model,
@@ -165,7 +165,8 @@ def cmd_fit(args) -> int:
         affine=affine,
         provenance=_provenance(args, args.seed),
     )
-    print(f"wrote {args.output} ({len(model.coefficients.entries)} coefficients)", file=sys.stderr)
+    nonzeros = sum(np.count_nonzero(dense) for _, dense in model.coefficients.blocks.values())
+    print(f"wrote {args.output} ({nonzeros} coefficients)", file=sys.stderr)
     if args.grid:
         grid = GridSpec.unit(points.shape[1], args.grid)
         field = grid_eval(model, grid)
@@ -180,6 +181,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.points is not None and args.grid is not None:
+        print("error: eval takes a points CSV or --grid R, not both", file=sys.stderr)
+        return USAGE_EXIT
     model, extras = model_from_file(args.coefficients)
     affine = None
     if "affine" in extras and args.data_coords:
@@ -203,6 +207,11 @@ def cmd_eval(args) -> int:
     f_vals = model._density_from(g_vals)
     if affine is not None:
         f_vals = f_vals * affine.jacobian
+    nonfinite = np.count_nonzero(~np.isfinite(f_vals))
+    if nonfinite:
+        raise DegenerateModelError(
+            f"{args.coefficients}: the density is not finite at {nonfinite} of {len(f_vals)} points"
+        )
     header = ",".join(f"x{a + 1}" for a in range(model.d)) + ",g,f"
     _write_csv(
         args.output, [f"# wavedens {__version__} eval; model={args.coefficients}", header],

@@ -27,6 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -47,6 +48,10 @@ SCHEMA_VERSION = 1
 # reconstruction each hold at once; estimation adds the chunks in point order,
 # so its sums are the same bits for any chunk size
 _CHUNK_BYTES = 1 << 20
+
+# cells that the bounding boxes of a coefficient file's blocks may span in
+# all (8 bytes each); a file spanning more is rejected before any allocation
+_MAX_FILE_CELLS = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +86,8 @@ class CoefficientSet:
     ``blocks`` maps (j, q), in sorted order, to (zmin, dense): dense[i] is
     the coefficient of translate zmin + i.  Each block is cut to the bounding
     box of its nonzeros and no block is all zero; ``entries`` is a read-only
-    BasisIndex view of the nonzeros, and ``from_entries`` builds a set from
-    such a map.  The father block lies at level j0 and the detail blocks at
+    BasisIndex view of the nonzeros for code outside the fit, evaluation and
+    file paths.  The father block lies at level j0 and the detail blocks at
     j0..J, so a trend-only set (J = j0 - 1) holds the father block alone.
     The basis is the Daubechies family of ``wavelet_order``.
     """
@@ -96,22 +101,6 @@ class CoefficientSet:
     wavelet_order: int
     normalized: bool
     kind: str = "shape-preserving"
-
-    @classmethod
-    def from_entries(cls, entries: dict[BasisIndex, float], **meta) -> "CoefficientSet":
-        """A set holding the nonzero values of a BasisIndex map; ``meta``
-        gives every other field."""
-        grouped: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
-        for idx, val in entries.items():
-            grouped.setdefault((idx.level, idx.orientation), []).append((idx.translate, val))
-        blocks = {}
-        for key, items in grouped.items():
-            zs = np.array([z for z, _ in items], dtype=np.int64)
-            zmin = zs.min(axis=0)
-            dense = np.zeros(tuple(zs.max(axis=0) - zmin + 1))
-            dense[tuple((zs - zmin).T)] = [val for _, val in items]
-            blocks[key] = (zmin, dense)
-        return cls(blocks=_trimmed(blocks), **meta)
 
     @property
     def family(self) -> WaveletFamily:
@@ -665,40 +654,66 @@ def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None
         }
     if provenance is not None:
         head["provenance"] = provenance
-    text = json.dumps(head, indent=2)
-    lines = []
-    for key, val in coeffs.entries.items():
-        z = ", ".join(str(int(c)) for c in key.translate)
-        lines.append(
-            f'    {{"j": {key.level}, "z": [{z}], "q": {key.orientation}, '
-            f'"value": {val:.17e}}}'
-        )
-    body = ",\n".join(lines)
-    entries_text = f'  "entries": [\n{body}\n  ]' if lines else '  "entries": []'
-    document = text[:-2] + ",\n" + entries_text + "\n}\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(document)
+        handle.write(json.dumps(head, indent=2)[:-2] + ',\n  "entries": [')
+        # one line per nonzero, block by block in C (translate) order
+        for i, ((j, q), (zmin, dense)) in enumerate(coeffs.blocks.items()):
+            line = '    {"j": %d, "z": [%s], "q": %d, "value": %%.17e}' % (j, ", ".join(["%d"] * dense.ndim), q)
+            zs = (np.argwhere(dense) + zmin).T.tolist()
+            fields = chain.from_iterable(zip(*zs, dense[dense != 0].tolist()))
+            handle.write((",\n" if i else "\n") + ",\n".join([line] * len(zs[0])) % tuple(fields))
+        handle.write("\n  ]\n}\n" if coeffs.blocks else "]\n}\n")
 
 
-def _check_coefficients(entries, path, *, d, j0, J, wavelet_order, kind, **_) -> None:
-    """Raise DataError where a file's header is invalid (kind, order, J below
-    j0 - 1) or its entries contradict it: translate length, orientation,
-    level (father at j0, details at j0..J), or a non-finite value."""
+def _file_blocks(groups, path, *, d, j0, J, wavelet_order, kind, **_):
+    """Sorted, trimmed blocks of a file's entries, given grouped by (j, q)
+    into translate and value lists.  Raises DataError where the header is
+    invalid (kind; d outside 1..32, as a dense block has one array axis per
+    dimension; order; J below j0 - 1), an entry contradicts it (orientation,
+    level, translate length), a value is not finite, an entry repeats, or
+    the blocks' bounding boxes span more than ``_MAX_FILE_CELLS`` cells in
+    all."""
     if kind not in ("shape-preserving", "classical"):
         raise DataError(f"{path}: unknown kind {kind!r}")
+    if not 1 <= d <= 32:
+        raise DataError(f"{path}: dimension d={d} outside 1..32")
     if not 1 <= wavelet_order <= MAX_ORDER:
         raise DataError(f"{path}: wavelet order {wavelet_order} outside 1..{MAX_ORDER}")
     if J < j0 - 1:
         raise DataError(f"{path}: J={J} lies below j0 - 1 = {j0 - 1}")
-    for key, val in entries.items():
-        if len(key.translate) != d or not 0 <= key.orientation < (1 << d):
+    blocks = {}
+    cells = 0
+    for (j, q), (zs, vals) in groups.items():
+        short = next((i for i, z in enumerate(zs) if len(z) != d), 0)
+        if not 0 <= q < (1 << d) or len(zs[short]) != d:
             raise DataError(
-                f"{path}: entry {key} needs d={d} translate coordinates and 0 <= q < {1 << d}"
+                f"{path}: entry j={j} z={zs[short]} q={q} needs d={d} translate coordinates and 0 <= q < {1 << d}"
             )
-        if key.level not in (range(j0, J + 1) if key.orientation else (j0,)):
-            raise DataError(f"{path}: entry {key} lies outside the levels j0={j0}..J={J}")
-        if not math.isfinite(val):
-            raise DataError(f"{path}: entry {key} has non-finite value {val}")
+        if j not in (range(j0, J + 1) if q else (j0,)):
+            raise DataError(f"{path}: entry j={j} z={zs[0]} q={q} lies outside the levels j0={j0}..J={J}")
+        values = np.array(vals)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(f"{path}: entry j={j} z={zs[bad[0]]} q={q} has non-finite value {values[bad[0]]}")
+        try:
+            z = np.array(zs, dtype=np.int64)
+        except OverflowError:
+            raise DataError(f"{path}: block (j={j}, q={q}) has a translate outside the 64-bit range") from None
+        lo = z.min(axis=0)
+        # in Python integers, which no translate range overflows
+        shape = tuple(int(b) - int(a) + 1 for a, b in zip(lo, z.max(axis=0)))
+        cells += math.prod(shape)
+        if cells > _MAX_FILE_CELLS:
+            raise DataError(f"{path}: block (j={j}, q={q}) spans {shape} translates, past {_MAX_FILE_CELLS} cells")
+        flat = np.ravel_multi_index(tuple((z - lo).T), shape)
+        first = np.unique(flat, return_index=True)[1]
+        if first.size < flat.size:
+            again = zs[np.setdiff1d(np.arange(flat.size), first)[0]]
+            raise DataError(f"{path}: entry j={j} z={again} q={q} appears more than once")
+        dense = np.zeros(shape)
+        dense.reshape(-1)[flat] = values
+        blocks[(j, q)] = (lo, dense)
+    return _trimmed(blocks)
 
 
 def read_coefficients(path) -> tuple[CoefficientSet, dict]:
@@ -712,12 +727,12 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported schema_version {doc.get('schema_version')}")
     try:
-        entries: dict[BasisIndex, float] = {}
+        # (j, q) -> (translates, values), in file order
+        groups: dict[tuple[int, int], tuple[list, list]] = {}
         for item in doc["entries"]:
-            key = BasisIndex(int(item["j"]), tuple(int(c) for c in item["z"]), int(item["q"]))
-            if key in entries:
-                raise DataError(f"{path}: entry {key} appears more than once")
-            entries[key] = float(item["value"])
+            zs, vals = groups.setdefault((int(item["j"]), int(item["q"])), ([], []))
+            zs.append([int(c) for c in item["z"]])
+            vals.append(float(item["value"]))
         meta = dict(
             d=int(doc["d"]),
             n=int(doc["n"]),
@@ -730,7 +745,15 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
         )
         representation = str(doc["representation"])
         resolution = int(doc.get("dyadic_resolution", DEFAULT_RESOLUTION))
-    except (KeyError, TypeError, ValueError) as exc:
+        # the extras that eval reads: the grid box and the data-coordinate map
+        arrays = [("domain", doc["domain"], (meta["d"], 2))] if "domain" in doc else []
+        if "affine" in doc:
+            arrays += [(f"affine {part}", doc["affine"][part], (meta["d"],)) for part in ("scale", "offset")]
+        for name, value, shape in arrays:
+            arr = np.asarray(value, dtype=float)
+            if arr.shape != shape or not np.all(np.isfinite(arr)):
+                raise DataError(f"{path}: {name} needs shape {shape} and finite values")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed coefficient document ({exc})") from exc
     if resolution != DEFAULT_RESOLUTION:
         raise DataError(f"{path}: dyadic resolution {resolution} is not the tables' {DEFAULT_RESOLUTION}")
@@ -739,9 +762,8 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
         meta["j0"] = meta["J"] + 1
     elif representation != "trend-plus-details":
         raise DataError(f"{path}: unknown representation {representation!r}")
-    _check_coefficients(entries, path, **meta)
     extras = {name: doc[name] for name in ("domain", "affine", "provenance") if name in doc}
-    return CoefficientSet.from_entries(entries, **meta), extras
+    return CoefficientSet(blocks=_file_blocks(groups, path, **meta), **meta), extras
 
 
 def model_from_file(path) -> tuple[DensityModel, dict]:

@@ -12,6 +12,7 @@ cells x (2p)^d with filters from the scalar oracle ``refinement_coefficients``,
 as the reference for the package's one-axis filter passes.
 """
 
+import json
 import math
 
 import numpy as np
@@ -49,6 +50,52 @@ def entries_to_blocks(entries):
             dense[tuple(np.asarray(z) - zmin)] = val
         blocks[key] = (zmin, dense)
     return blocks
+
+
+def coefficient_set(entries, **meta):
+    """The set holding the nonzero values of a BasisIndex map, its blocks
+    sorted and trimmed; ``meta`` gives every other field."""
+    return estimator.CoefficientSet(blocks=estimator._trimmed(entries_to_blocks(entries)), **meta)
+
+
+def write_coefficients(path, coeffs, *, domain=None, affine=None, provenance=None):
+    """The coefficient-file writer that walks the ``entries`` view, one
+    formatted line per entry: the byte reference for the block writer."""
+    head = {
+        "schema_version": estimator.SCHEMA_VERSION,
+        "kind": coeffs.kind,
+        "d": coeffs.d,
+        "n": coeffs.n,
+        "k": coeffs.k,
+        "j0": coeffs.j0,
+        "J": coeffs.J,
+        "wavelet_order": coeffs.wavelet_order,
+        "dyadic_resolution": estimator.DEFAULT_RESOLUTION,
+        "normalized": coeffs.normalized,
+        "representation": "trend-plus-details",
+    }
+    if domain is not None:
+        head["domain"] = np.asarray(domain, dtype=float).tolist()
+    if affine is not None:
+        head["affine"] = {
+            "scale": affine.scale.tolist(),
+            "offset": affine.offset.tolist(),
+        }
+    if provenance is not None:
+        head["provenance"] = provenance
+    text = json.dumps(head, indent=2)
+    lines = []
+    for key, val in coeffs.entries.items():
+        z = ", ".join(str(int(c)) for c in key.translate)
+        lines.append(
+            f'    {{"j": {key.level}, "z": [{z}], "q": {key.orientation}, '
+            f'"value": {val:.17e}}}'
+        )
+    body = ",\n".join(lines)
+    entries_text = f'  "entries": [\n{body}\n  ]' if lines else '  "entries": []'
+    document = text[:-2] + ",\n" + entries_text + "\n}\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(document)
 
 
 def coefficient_sums(points, weights, config):

@@ -13,7 +13,6 @@ import dict_oracle as oracle
 from wavedens import estimator
 from wavedens.errors import EstimationError, KConsistencyWarning
 from wavedens.estimator import (
-    CoefficientSet,
     DensityModel,
     EstimatorConfig,
     estimate_coefficient_sets,
@@ -162,7 +161,7 @@ def test_grid_path_matches_the_axis_factor_oracle(d, order):
     far[BasisIndex(0, (-40,) * d, 0)] = 0.25
     far[BasisIndex(0, (50,) * d, 0)] = -0.5
     meta = {f.name: getattr(fitted, f.name) for f in dataclasses.fields(fitted) if f.name != "blocks"}
-    for cs in (fitted, CoefficientSet.from_entries(far, **meta)):
+    for cs in (fitted, oracle.coefficient_set(far, **meta)):
         for axes in grid_cases(d):
             np.testing.assert_array_equal(
                 DensityModel(cs).reconstruct_on_axes(axes),

@@ -3,13 +3,14 @@ the dict-keyed operations of ``dict_oracle`` bit for bit, keys in order; the
 level transforms, which filter one axis at a time, agree with the oracle's
 tensor filters to rounding."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import dict_oracle as oracle
-from wavedens import simulation
+from wavedens import cli, simulation
 from wavedens.classical import classical_coefficients, rescale_classical
 from wavedens.estimator import (
     CoefficientSet,
@@ -17,11 +18,15 @@ from wavedens.estimator import (
     EstimatorConfig,
     dilation_coefficients,
     estimate_coefficients,
+    fit_model,
     normalization_mass,
     normalize,
+    read_coefficients,
+    rescale_to_domain,
     soft_threshold,
     to_single_trend,
     truncate_details,
+    write_coefficients,
 )
 from wavedens.metrics import GridSpec
 from wavedens.simulation import BenchmarkConfig
@@ -127,7 +132,30 @@ def test_rescale_classical(d, order):
     assert_same(rescaled, oracle.rescale_classical(raw, family, d, grid))
 
 
-def test_sweep_rows_never_build_the_entries_view(monkeypatch):
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["fitted", "trend-only", "classical", "thresholded", "single-trend", "empty"])
+def test_writer_keeps_the_bytes_of_the_entries_writer(tmp_path, d, variant):
+    pts, cfg, raw, _ = fitted(d, 2, "cl" if variant == "classical" else "sp")
+    details = [abs(dense).max() for (_, q), (_, dense) in raw.blocks.items() if q]
+    cs = {
+        "fitted": lambda: fit_model(pts, cfg).coefficients,
+        "trend-only": lambda: truncate_details(raw, cfg.j0 - 1),
+        "classical": lambda: raw,
+        "thresholded": lambda: normalize(soft_threshold(raw, float(np.median(details)) * math.sqrt(len(pts)))),
+        "single-trend": lambda: to_single_trend(raw),
+        "empty": lambda: dataclasses.replace(raw, blocks={}),
+    }[variant]()
+    header = dict(
+        domain=np.column_stack([np.zeros(d), np.ones(d)]),
+        affine=rescale_to_domain(pts, padding=0.1)[1],
+        provenance={"flags": {"J": cfg.J, "wavelet": 2}, "seed": 7, "numpy": np.__version__},
+    )
+    write_coefficients(tmp_path / "blocks.json", cs, **header)
+    oracle.write_coefficients(tmp_path / "entries.json", cs, **header)
+    assert (tmp_path / "blocks.json").read_bytes() == (tmp_path / "entries.json").read_bytes()
+
+
+def test_sweep_rows_never_build_the_entries_view(monkeypatch, tmp_path):
     builds = []
     view = CoefficientSet.entries.func
 
@@ -144,6 +172,19 @@ def test_sweep_rows_never_build_the_entries_view(monkeypatch):
     )
     report = simulation.run_benchmark(config, workers=1)
     assert len(report.rows) == 2 and not report.failed
+    # the library file path: fit, write, read, evaluate
+    pts = np.random.default_rng(1).random((64, 2))
+    model = fit_model(pts, EstimatorConfig(wavelet_order=2, J=1))
+    write_coefficients(tmp_path / "lib.json", model.coefficients)
+    back, _ = read_coefficients(tmp_path / "lib.json")
+    assert np.all(np.isfinite(DensityModel(back).density(pts)))
+    # the CLI file path: fit, then eval at points and on a grid
+    csv = tmp_path / "pts.csv"
+    csv.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    model_json, out = str(tmp_path / "cli.json"), str(tmp_path / "out.csv")
+    assert cli.main(["fit", str(csv), "-o", model_json, "--wavelet", "db2", "--J", "1"]) == 0
+    assert cli.main(["eval", model_json, str(csv), "-o", out]) == 0
+    assert cli.main(["eval", model_json, "--grid", "8", "-o", out]) == 0
     assert builds == []
     cs = estimate_coefficients(np.random.default_rng(0).random((20, 2)), EstimatorConfig(wavelet_order=2))
     assert len(cs.entries) > 0 and builds == [cs]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dict_oracle as oracle
 from wavedens.classical import (
     classical_coefficients,
     fit_classical,
@@ -8,7 +9,6 @@ from wavedens.classical import (
 )
 from wavedens.errors import DegenerateModelError, EstimationError
 from wavedens.estimator import (
-    CoefficientSet,
     DensityModel,
     EstimatorConfig,
     density_at,
@@ -97,7 +97,7 @@ class TestClassicalDensity:
 
 class TestRescaleClassical:
     def test_halves_density(self):
-        coeffs = CoefficientSet.from_entries(
+        coeffs = oracle.coefficient_set(
             {BasisIndex(0, (0, 0), 0): 2.0},
             d=2, n=4, k=1, j0=0, J=-1, wavelet_order=1,
             normalized=False, kind="classical",
@@ -122,7 +122,7 @@ class TestRescaleClassical:
         assert mass(grid_eval(rescaled, grid)) == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_mass_rejected(self):
-        coeffs = CoefficientSet.from_entries(
+        coeffs = oracle.coefficient_set(
             {BasisIndex(0, (0, 0), 0): -1.0},
             d=2, n=4, k=1, j0=0, J=-1, wavelet_order=1,
             normalized=False, kind="classical",

@@ -237,6 +237,14 @@ class TestEval:
     def test_needs_points_or_grid(self, model_path):
         assert main(["eval", str(model_path)]) == 2
 
+    def test_points_and_grid_together_are_a_usage_error(self, model_path, tmp_path, capsys):
+        qpath = tmp_path / "q.csv"
+        write_csv(qpath, np.random.default_rng(3).random((5, 2)))
+        out = tmp_path / "vals.csv"
+        assert main(["eval", str(model_path), str(qpath), "--grid", "4", "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_data_coords_back_transform(self, tmp_path):
         rng = np.random.default_rng(4)
         raw = rng.normal(20.0, 3.0, size=(100, 2))
@@ -277,6 +285,20 @@ def lift_last_detail(doc):
     doc["entries"][-1]["j"] = doc["J"] + 1
 
 
+def stretch_first_block(doc):
+    # two entries of the first (j, q) block, 30 000 translates apart on both
+    # axes: a box of more than 30 001 x 30 001 cells
+    first = doc["entries"][0]
+    for z in (30_000, 60_000):
+        doc["entries"].append({**first, "z": [z, z], "value": 0.5})
+
+
+def raise_dimension_past_numpy(doc):
+    # without the domain, whose shape would name the mismatch first
+    del doc["domain"]
+    doc["d"] = 40
+
+
 def relabel_trend_only_below_j0(doc):
     # keep the db2 father block alone, as a trend-only set at level 3, but
     # with J = 0 where a trend-only set at j0 = 3 has J = 2
@@ -302,11 +324,16 @@ class TestEvalRejectsBadCoefficientFiles:
             (set_header("representation", "wavelet-packet"), "unknown representation"),
             (relabel_trend_only_below_j0, "J=0 lies below j0 - 1 = 2"),
             (set_header("kind", "Classical"), "unknown kind"),
+            (stretch_first_block, "16777216 cells"),
+            (set_first_entry("z", [2**70, 0]), "64-bit range"),
+            (raise_dimension_past_numpy, "outside 1..32"),
+            (set_header("domain", 0), "domain needs shape (2, 2)"),
         ],
         ids=[
             "z-length", "q-above-range", "q-negative", "nan-value", "inf-value",
             "detail-above-J", "trend-off-j0", "order-11", "order-0", "duplicate-entry",
-            "resolution-12", "representation-unknown", "J-below-j0", "kind-unknown",
+            "resolution-12", "representation-unknown", "J-below-j0", "kind-unknown", "huge-box",
+            "z-beyond-int64", "d-40", "domain-scalar",
         ],
     )
     def test_exits_2(self, uniform_csv, tmp_path, capsys, mutate, message):
@@ -317,6 +344,18 @@ class TestEvalRejectsBadCoefficientFiles:
         model.write_text(json.dumps(doc))
         assert main(["eval", str(model), "--grid", "4"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_infinite_density_exits_3_and_writes_nothing(self, uniform_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert main(["fit", str(uniform_csv), "-o", str(model), "--wavelet", "db2", "--J", "1"]) == 0
+        doc = json.loads(model.read_text())
+        doc["entries"][0]["value"] = 1e200
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(["eval", str(model), "--grid", "4", "-o", str(out)]) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_trend_file_accepted(self, tmp_path):
         rng = np.random.default_rng(5)

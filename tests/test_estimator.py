@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dict_oracle as oracle
 from wavedens import estimator
 from wavedens.classical import classical_coefficients, fit_classical
 from wavedens.errors import DataError, DegenerateModelError, EstimationError
 from wavedens.estimator import (
-    CoefficientSet,
     DensityModel,
     EstimatorConfig,
     consistency_factor,
@@ -53,7 +53,7 @@ def make_set(entries, **kw):
         normalized=False,
     )
     meta.update(kw)
-    return CoefficientSet.from_entries(entries, **meta)
+    return oracle.coefficient_set(entries, **meta)
 
 
 class TestConsistencyFactor:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wavedens.estimator import CoefficientSet, DensityModel, EstimatorConfig, fit_model
+import dict_oracle as oracle
+from wavedens.estimator import DensityModel, EstimatorConfig, fit_model
 from wavedens.metrics import Field, GridSpec, grid_eval, ise, mass, mise_aggregate, negative_mass
 from wavedens.wavelets import BasisIndex
 
@@ -39,7 +40,7 @@ class TestGridEval:
         np.testing.assert_array_equal(field.values, 1.0)
 
     def test_haar_trend_model_is_piecewise_constant(self):
-        coeffs = CoefficientSet.from_entries(
+        coeffs = oracle.coefficient_set(
             {BasisIndex(1, (0, 0), 0): 1.0},
             d=2, n=1, k=1, j0=1, J=0, wavelet_order=1,
             normalized=False,
