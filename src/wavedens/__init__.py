@@ -12,6 +12,7 @@ Monte-Carlo benchmark harness.
 __version__ = "0.1.0"
 
 from .errors import (
+    BudgetError,
     ConfigurationError,
     DataError,
     DegenerateModelError,

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import __version__
 from .classical import fit_classical, rescale_classical
-from .errors import DataError, DegenerateModelError, KConsistencyWarning, WavedensError
+from .errors import BudgetError, DataError, DegenerateModelError, KConsistencyWarning, WavedensError
 from .estimator import (
+    _MAX_FILE_CELLS,
     EstimatorConfig,
     fit_model,
     model_from_file,
@@ -42,7 +43,8 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
 
-# rows the CSV writer formats with one `%`; bounds the text held at once
+# rows the CSV writer formats with one `%` and the CSV reader parses into one
+# array; bounds the text and the Python lists held at once
 _CSV_CHUNK_ROWS = 1024
 
 
@@ -70,10 +72,13 @@ def _positive_int(text: str) -> int:
 
 def read_points_csv(path, dim: int | None = None) -> np.ndarray:
     """Read an (n, d) point CSV: comma separated, '.' decimal, optional
-    single header line, '#' comment lines allowed."""
+    single header line, '#' comment lines allowed.  Parsed rows become an
+    array every ``_CSV_CHUNK_ROWS`` rows, so the Python lists held at once
+    stay bounded."""
     rows = []
+    arrays = []
     d = dim
-    header_seen = False
+    first = True
     with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
@@ -83,13 +88,14 @@ def read_points_csv(path, dim: int | None = None) -> np.ndarray:
             try:
                 values = [float(fld) for fld in fields]
             except ValueError:
-                if not rows and not header_seen:
-                    # a single non-numeric line before any data is the header
-                    header_seen = True
+                if first:
+                    # a non-numeric first line is the header
+                    first = False
                     if d is None:
                         d = len(fields)
                     continue
                 raise DataError(f"{path}: line {lineno}: cannot parse row {text!r}")
+            first = False
             if d is None:
                 d = len(values)
             if len(values) != d:
@@ -97,9 +103,14 @@ def read_points_csv(path, dim: int | None = None) -> np.ndarray:
                     f"{path}: line {lineno}: expected {d} columns, got {len(values)}"
                 )
             rows.append(values)
-    if not rows:
+            if len(rows) == _CSV_CHUNK_ROWS:
+                arrays.append(np.array(rows, dtype=float))
+                rows = []
+    if rows:
+        arrays.append(np.array(rows, dtype=float))
+    if not arrays:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return np.concatenate(arrays)
 
 
 def _provenance(args, seed=None) -> dict:
@@ -108,6 +119,16 @@ def _provenance(args, seed=None) -> dict:
         if isinstance(val, np.ndarray):
             flags[key] = val.tolist()
     return {**software_versions(), "flags": flags, "seed": seed}
+
+
+def _grid_spec(d: int, resolution: int, box=None) -> GridSpec:
+    """The ``resolution``^d cell-centre grid on ``box`` (default the unit
+    cube).  Raises BudgetError, before anything is allocated, when the grid
+    would hold more than ``_MAX_FILE_CELLS`` cells."""
+    cells = resolution**d
+    if cells > _MAX_FILE_CELLS:
+        raise BudgetError(f"a {resolution}^{d} grid holds {cells} cells, past the budget of {_MAX_FILE_CELLS}")
+    return GridSpec.unit(d, resolution) if box is None else GridSpec.from_box(box, resolution)
 
 
 def _write_csv(path, head_lines, columns):
@@ -141,6 +162,9 @@ def cmd_fit(args) -> int:
     verdict = validate_k(n, args.k)
     if not verdict.ok:
         print(f"warning: {verdict.message}", file=sys.stderr)
+    rescale_on_grid = args.estimator == "classical" and not args.no_normalize
+    # made before the fit, so that a grid past the budget writes no file
+    grid = _grid_spec(points.shape[1], args.grid or 128) if args.grid or rescale_on_grid else None
     config = EstimatorConfig(
         wavelet_order=args.wavelet,
         j0=args.j0,
@@ -154,8 +178,8 @@ def cmd_fit(args) -> int:
         warnings.simplefilter("ignore", KConsistencyWarning)
         if args.estimator == "classical":
             model = fit_classical(points, config)
-            if not args.no_normalize:
-                model = rescale_classical(model, GridSpec.unit(points.shape[1], args.grid or 128))
+            if rescale_on_grid:
+                model = rescale_classical(model, grid)
         else:
             model = fit_model(points, config)
     write_coefficients(
@@ -168,7 +192,6 @@ def cmd_fit(args) -> int:
     nonzeros = sum(np.count_nonzero(dense) for _, dense in model.coefficients.blocks.values())
     print(f"wrote {args.output} ({nonzeros} coefficients)", file=sys.stderr)
     if args.grid:
-        grid = GridSpec.unit(points.shape[1], args.grid)
         field = grid_eval(model, grid)
         out = args.grid_output or args.output.rsplit(".", 1)[0] + ".grid.csv"
         header = ",".join(f"x{a + 1}" for a in range(grid.d)) + ",density"
@@ -195,11 +218,7 @@ def cmd_eval(args) -> int:
     if args.points is not None:
         pts = read_points_csv(args.points, model.d)
     elif args.grid is not None:
-        box = extras.get("domain")
-        grid = (
-            GridSpec.from_box(box, args.grid) if box is not None else GridSpec.unit(model.d, args.grid)
-        )
-        pts = grid.cell_centers()
+        pts = _grid_spec(model.d, args.grid, extras.get("domain")).cell_centers()
     else:
         raise DataError("need a points CSV or --grid R")
     eval_pts = affine.forward(pts) if affine is not None else pts

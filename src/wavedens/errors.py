@@ -23,6 +23,10 @@ class DegenerateModelError(EstimationError):
     """A model has no usable mass (all coefficients zero)."""
 
 
+class BudgetError(WavedensError):
+    """A requested array would exceed the package's memory budget."""
+
+
 class KConsistencyWarning(UserWarning):
     """k is large relative to n for consistent estimation (see validate_k);
     a warning only, since the estimate is still valid."""

@@ -44,13 +44,16 @@ from .wavelets import DEFAULT_RESOLUTION, MAX_ORDER, BasisIndex, WaveletFamily, 
 
 SCHEMA_VERSION = 1
 
-# bytes of per-row intermediates that coefficient estimation and point
-# reconstruction each hold at once; estimation adds the chunks in point order,
+# bytes of per-row intermediates that coefficient estimation (a chunk's
+# snapped points, band values, flat indices and products) and point
+# reconstruction (a block's factor columns, interpolation scratch and partial
+# contractions) each hold at once; estimation adds the chunks in point order,
 # so its sums are the same bits for any chunk size
 _CHUNK_BYTES = 1 << 20
 
 # cells that the bounding boxes of a coefficient file's blocks may span in
-# all (8 bytes each); a file spanning more is rejected before any allocation
+# all, and that a CLI grid may hold (8 bytes each); a larger file or grid is
+# rejected before any allocation
 _MAX_FILE_CELLS = 1 << 24
 
 
@@ -189,18 +192,21 @@ def _band_rows(family: WaveletFamily, table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table[: width << family.dyadic_resolution].reshape(width, -1)[::-1].T)
 
 
-def _accumulate_level(family, snapped, qs, weights, j):
-    """Scatter-add weighted tensor basis values into dense per-q blocks, chunk
-    by chunk, for every row of the (m, n) ``weights``; returns m block maps.
+def _accumulate_level(family, points, qs, weights, j):
+    """Scatter-add weighted tensor basis values at the snapped ``points`` into
+    dense per-q blocks, chunk by chunk, for every row of the (m, n)
+    ``weights``; returns m block maps.
 
-    The band-table gather (of the tables the orientations use), the flat
-    indices and the tensor products of a chunk are shared by all rows, and
-    each row's weighted products and sums keep the arithmetic of a one-row
-    call."""
-    n, d = snapped.shape
+    Each chunk snaps its own points.  The band-table gather (of the tables
+    the orientations use), the flat indices and the tensor products of a
+    chunk are shared by all rows, and each row's weighted products and sums
+    keep the arithmetic of a one-row call."""
+    n, d = points.shape
     width = family.support_length
-    # the band start is monotone in each coordinate, so the extreme points bound it
-    zmin, zmax = _band(family, np.stack([snapped.min(axis=0), snapped.max(axis=0)]), j)[0]
+    # snapping and the band start are monotone in each coordinate, so the
+    # extreme points bound the band
+    extremes = snap_to_dyadic(np.stack([points.min(axis=0), points.max(axis=0)]))
+    zmin, zmax = _band(family, extremes, j)[0]
     shape = tuple(zmax - zmin + width)
     strides = np.array([math.prod(shape[a + 1 :]) for a in range(d)], dtype=np.int64)
     offs = np.indices((width,) * d).reshape(d, -1).T @ strides
@@ -214,7 +220,7 @@ def _accumulate_level(family, snapped, qs, weights, j):
     lin = np.empty((min(rows, n), offs.size), dtype=np.int64)
     weighted = np.empty(lin.shape)
     for start in range(0, n, rows):
-        z_base, frac = _band(family, snapped[start : start + rows], j)
+        z_base, frac = _band(family, snap_to_dyadic(points[start : start + rows]), j)
         vals = {bit: table[frac] for bit, table in band_rows.items()}
         size = len(z_base)
         np.add(((z_base - zmin) @ strides)[:, None], offs, out=lin[:size])
@@ -231,12 +237,11 @@ def _accumulate_level(family, snapped, qs, weights, j):
 def _coefficient_sums(points, weights, config: EstimatorConfig):
     """Trimmed coefficient sums of every row of the (m, n) ``weights``."""
     family = cached_family(config.wavelet_order, DEFAULT_RESOLUTION)
-    snapped = snap_to_dyadic(points)
     details = list(range(1, 1 << points.shape[1]))
     sums = [{} for _ in weights]
     for j in range(config.j0, max(config.J, config.j0) + 1):
         qs = ([0] if j == config.j0 else []) + (details if j <= config.J else [])
-        for blocks, level in zip(sums, _accumulate_level(family, snapped, qs, weights, j)):
+        for blocks, level in zip(sums, _accumulate_level(family, points, qs, weights, j)):
             blocks.update(level)
     return [_trimmed(blocks) for blocks in sums]
 
@@ -526,25 +531,30 @@ class DensityModel:
         return self.coefficients.d
 
     def reconstruct(self, points) -> np.ndarray:
-        """Linear coefficient reconstruction at the given points, in chunks of
-        rows whose factor matrices and first contraction fit in ``_CHUNK_BYTES``."""
+        """Linear coefficient reconstruction at the given points.
+
+        Each block runs over the points in chunks of as many rows as fit in
+        ``_CHUNK_BYTES``, counting per row the block's factor columns, the
+        interpolation scratch of its widest axis (the t - z array and three
+        more in ``_table_at``) and its partial contractions; a small block
+        takes long chunks and a wide one short chunks."""
         pts = as_points(points)
         if pts.shape[1] != self.d:
             raise ValueError(f"expected dimension {self.d}, got {pts.shape[1]}")
-        widest = max(
-            (dense.size // len(dense) + sum(dense.shape) for _, dense in self.coefficients.blocks.values()),
-            default=1,
-        )
-        rows = max(1, _CHUNK_BYTES // (8 * widest))
         out = np.zeros(pts.shape[0])
         for (j, q), (zmin, dense) in self.coefficients.blocks.items():
+            shape = dense.shape
+            floats = sum(shape) + 4 * max(shape) + sum(math.prod(shape[a:]) for a in range(1, self.d + 1))
+            rows = max(1, _CHUNK_BYTES // (8 * floats))
             for start in range(0, pts.shape[0], rows):
                 chunk = pts[start : start + rows]
-                factors = _axis_factors(self.family, j, q, zmin, dense.shape, chunk.T)
+                factors = _axis_factors(self.family, j, q, zmin, shape, chunk.T)
                 acc = factors[0] @ dense.reshape(len(dense), -1)
                 for a in range(1, self.d):
-                    acc = np.einsum("nsr,ns->nr", acc.reshape(len(chunk), dense.shape[a], -1), factors[a])
+                    acc = np.einsum("nsr,ns->nr", acc.reshape(len(chunk), shape[a], -1), factors[a])
                 out[start : start + rows] += 2.0 ** (self.d * j / 2.0) * acc[:, 0]
+                # freed before the next chunk builds its own
+                del factors, acc
         return out
 
     def reconstruct_on_axes(self, axes: list[np.ndarray]) -> np.ndarray:
@@ -669,7 +679,8 @@ def _file_blocks(groups, path, *, d, j0, J, wavelet_order, kind, **_):
     """Sorted, trimmed blocks of a file's entries, given grouped by (j, q)
     into translate and value lists.  Raises DataError where the header is
     invalid (kind; d outside 1..32, as a dense block has one array axis per
-    dimension; order; J below j0 - 1), an entry contradicts it (orientation,
+    dimension; order; J below j0 - 1; a level j whose 2**j or 2**(d j / 2)
+    is not a finite nonzero float64), an entry contradicts it (orientation,
     level, translate length), a value is not finite, an entry repeats, or
     the blocks' bounding boxes span more than ``_MAX_FILE_CELLS`` cells in
     all."""
@@ -681,6 +692,15 @@ def _file_blocks(groups, path, *, d, j0, J, wavelet_order, kind, **_):
         raise DataError(f"{path}: wavelet order {wavelet_order} outside 1..{MAX_ORDER}")
     if J < j0 - 1:
         raise DataError(f"{path}: J={J} lies below j0 - 1 = {j0 - 1}")
+    for level in (j0, max(J, j0)):
+        # evaluation scales by 2**j and 2**(d j / 2); Python's float power
+        # raises OverflowError past the float64 range
+        try:
+            scaled = 2.0 ** level > 0.0 and 2.0 ** (d * level / 2) > 0.0
+        except OverflowError:
+            scaled = False
+        if not scaled:
+            raise DataError(f"{path}: level {level} puts 2**j or 2**(d*j/2) outside the finite nonzero float64 range")
     blocks = {}
     cells = 0
     for (j, q), (zs, vals) in groups.items():

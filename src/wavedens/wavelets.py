@@ -203,15 +203,23 @@ def cached_family(order: int, dyadic_resolution: int = DEFAULT_RESOLUTION) -> Wa
 def _table_at(table: np.ndarray, resolution: int, width: int, x) -> np.ndarray | float:
     """Linear interpolation of a support-[0, width] table; zero outside."""
     xa = np.asarray(x, dtype=float)
+    if xa.ndim == 0:
+        return float(_table_at(table, resolution, width, xa.reshape(1))[0])
+    # lo * (1 - frac) + hi * frac, computed in place so that at most four
+    # arrays of x's shape are live besides x itself
+    outside = ~((xa >= 0.0) & (xa <= width))
     pos = xa * (1 << resolution)
-    inside = (xa >= 0.0) & (xa <= width)
-    pos = np.where(inside, pos, 0.0)
+    pos[outside] = 0.0
     i0 = np.floor(pos).astype(np.int64)
-    i0 = np.minimum(i0, table.size - 2)
-    frac = pos - i0
-    out = np.where(inside, table[i0] * (1.0 - frac) + table[i0 + 1] * frac, 0.0)
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(out)
+    np.minimum(i0, table.size - 2, out=i0)
+    pos -= i0
+    out = table[i0]
+    out *= 1.0 - pos
+    i0 += 1
+    hi = table[i0]
+    hi *= pos
+    out += hi
+    out[outside] = 0.0
     return out
 
 

@@ -100,12 +100,11 @@ def write_coefficients(path, coeffs, *, domain=None, affine=None, provenance=Non
 
 def coefficient_sums(points, weights, config):
     family = cached_family(config.wavelet_order, 10)
-    snapped = estimator.snap_to_dyadic(points)
     details = list(range(1, 1 << points.shape[1]))
     blocks = {}
     for j in range(config.j0, max(config.J, config.j0) + 1):
         qs = ([0] if j == config.j0 else []) + (details if j <= config.J else [])
-        blocks.update(estimator._accumulate_level(family, snapped, qs, weights[None], j)[0])
+        blocks.update(estimator._accumulate_level(family, points, qs, weights[None], j)[0])
     return blocks_to_entries(blocks)
 
 

@@ -3,13 +3,13 @@ query and the cached grid columns keep every bit of the one-k paths."""
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 import dict_oracle as oracle
+from heap import traced_peak
 from wavedens import estimator
 from wavedens.errors import EstimationError, KConsistencyWarning
 from wavedens.estimator import (
@@ -187,17 +187,9 @@ def test_batch_memory_stays_near_one_k_call():
     pts = np.random.default_rng(8).random((2048, 2))
     cfg = EstimatorConfig(wavelet_order=6, j0=0, J=3, k=1)
     estimate_coefficients(pts, cfg)  # wavelet tables built outside the measurement
-
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    one = peak(lambda: estimate_coefficients(pts, cfg))
-    assert peak(lambda: estimate_coefficient_sets(pts, cfg, KS)) <= 1.1 * one
+    _, one = traced_peak(lambda: estimate_coefficients(pts, cfg))
+    _, batch = traced_peak(lambda: estimate_coefficient_sets(pts, cfg, KS))
+    assert batch <= 1.1 * one
 
 
 def test_sweep_rows_keep_the_one_k_error_messages():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
+from heap import traced_peak
 from wavedens import cli
 from wavedens.cli import main, read_points_csv
 from wavedens.errors import DataError, KConsistencyWarning
@@ -68,6 +69,24 @@ class TestReadPointsCsv:
         path = tmp_path / "pts.csv"
         path.write_text("x,y\n0.1,0.2\n")
         np.testing.assert_allclose(read_points_csv(path, dim=2), [[0.1, 0.2]])
+
+    def test_bad_row_after_a_full_chunk_reports_its_line(self, tmp_path):
+        # the 1 024 rows before it already form an array: the line is still
+        # no header, and it keeps its own number
+        path = tmp_path / "pts.csv"
+        path.write_text("# comment\n" + "".join(f"{i},0.5\n" for i in range(1024)) + "x,y\n")
+        with pytest.raises(DataError, match="line 1026: cannot parse row 'x,y'"):
+            read_points_csv(path)
+
+    def test_memory_stays_near_the_array(self, tmp_path):
+        # the rows become an array every 1 024 lines; 20 000 rows held as
+        # Python lists took 12 times the array
+        path = tmp_path / "pts.csv"
+        data = np.random.default_rng(7).random((20_000, 2))
+        write_csv(path, data, header="x,y")
+        pts, peak = traced_peak(lambda: read_points_csv(path))
+        np.testing.assert_array_equal(pts, data)
+        assert peak < 4 * pts.nbytes
 
     @pytest.mark.parametrize("dim", [None, 2])
     def test_byte_order_mark_is_not_a_header(self, tmp_path, dim):
@@ -299,6 +318,16 @@ def raise_dimension_past_numpy(doc):
     doc["d"] = 40
 
 
+def father_alone_at_level(level):
+    # one father entry of a consistent trend-only db1 set at ``level``: at
+    # 1100, 2**(d j / 2) overflows float64; at -1e10, the level overflows
+    # the 32-bit exponent of ldexp
+    def mutate(doc):
+        doc["entries"] = [{**doc["entries"][0], "j": level}]
+        doc["wavelet_order"], doc["j0"], doc["J"] = 1, level, level - 1
+    return mutate
+
+
 def relabel_trend_only_below_j0(doc):
     # keep the db2 father block alone, as a trend-only set at level 3, but
     # with J = 0 where a trend-only set at j0 = 3 has J = 2
@@ -328,12 +357,14 @@ class TestEvalRejectsBadCoefficientFiles:
             (set_first_entry("z", [2**70, 0]), "64-bit range"),
             (raise_dimension_past_numpy, "outside 1..32"),
             (set_header("domain", 0), "domain needs shape (2, 2)"),
+            (father_alone_at_level(1100), "level 1100 puts 2**j"),
+            (father_alone_at_level(-10**10), "level -10000000000 puts 2**j"),
         ],
         ids=[
             "z-length", "q-above-range", "q-negative", "nan-value", "inf-value",
             "detail-above-J", "trend-off-j0", "order-11", "order-0", "duplicate-entry",
             "resolution-12", "representation-unknown", "J-below-j0", "kind-unknown", "huge-box",
-            "z-beyond-int64", "d-40", "domain-scalar",
+            "z-beyond-int64", "d-40", "domain-scalar", "level-1100", "level-minus-1e10",
         ],
     )
     def test_exits_2(self, uniform_csv, tmp_path, capsys, mutate, message):
@@ -392,6 +423,37 @@ class TestEvalRejectsBadCoefficientFiles:
         back, _ = model_from_file(path)
         np.testing.assert_array_equal(back.density(probe), DensityModel(single).density(probe))
         assert main(["eval", str(path), "--grid", "4", "-o", str(tmp_path / "out.csv")]) == 0
+
+
+class TestGridBudget:
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_FILE_CELLS", 100)
+
+    def test_eval_grid_past_the_budget_exits_3_and_writes_nothing(self, uniform_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert main(["fit", str(uniform_csv), "-o", str(model), "--wavelet", "db2", "--J", "0"]) == 0
+        out = tmp_path / "out.csv"
+        assert main(["eval", str(model), "--grid", "10", "-o", str(out)]) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert main(["eval", str(model), "--grid", "11", "-o", str(out)]) == 3
+        assert "a 11^2 grid holds 121 cells, past the budget of 100" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--grid", "11"], ["--estimator", "classical"]], ids=["grid", "classical-rescale-grid"]
+    )
+    def test_fit_grid_past_the_budget_exits_3_and_writes_nothing(self, uniform_csv, tmp_path, capsys, flags):
+        model = tmp_path / "m.json"
+        assert main(["fit", str(uniform_csv), "-o", str(model), "--wavelet", "db2", "--J", "0", *flags]) == 3
+        assert "past the budget of 100" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [uniform_csv]
+
+    @pytest.mark.parametrize("flags", [[], ["--estimator", "classical", "--no-normalize"]])
+    def test_fit_without_a_grid_ignores_the_budget(self, uniform_csv, tmp_path, flags):
+        model = tmp_path / "m.json"
+        assert main(["fit", str(uniform_csv), "-o", str(model), "--wavelet", "db2", "--J", "0", *flags]) == 0
 
 
 class TestBench:

@@ -1,11 +1,11 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import dict_oracle as oracle
+from heap import traced_peak
 from wavedens import estimator
 from wavedens.classical import classical_coefficients, fit_classical
 from wavedens.errors import DataError, DegenerateModelError, EstimationError
@@ -291,16 +291,8 @@ class TestFilterBank:
         # a tensor filter over cells x 12**3 taps would peak at hundreds of MiB here
         pts = np.random.default_rng(13).random((60, 3))
         cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=6, j0=0, J=0, k=1, normalize=False))
-
-        def peak(call):
-            tracemalloc.start()
-            try:
-                return call(), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        single, synthesis_peak = peak(lambda: to_single_trend(cs))
-        _, analysis_peak = peak(lambda: dilation_coefficients(single))
+        single, synthesis_peak = traced_peak(lambda: to_single_trend(cs))
+        _, analysis_peak = traced_peak(lambda: dilation_coefficients(single))
         assert synthesis_peak < 16 << 20 and analysis_peak < 16 << 20
 
     def test_dilation_requires_single_trend(self):
@@ -500,15 +492,29 @@ class TestPointPathAgreement:
         model = fit_model(rng.random((300, 2)), EstimatorConfig(wavelet_order=2, j0=0, J=2, k=1))
         pts = rng.random((50, 2)) * 1.2 - 0.1
         whole = model.reconstruct(pts)
+        # the row rule of reconstruct, inverted: 7 rows per chunk for the widest
+        # block, a few more for the others
         widest = max(
-            dense.size // len(dense) + sum(dense.shape) for _, dense in model.coefficients.blocks.values()
+            sum(s) + 4 * max(s) + sum(math.prod(s[a:]) for a in range(1, len(s) + 1))
+            for s in (dense.shape for _, dense in model.coefficients.blocks.values())
         )
-        monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * widest * 7)  # 7 rows per chunk
+        monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * widest * 7)
         chunked = model.reconstruct(pts)
         pieces = np.concatenate([model.reconstruct(pts[i : i + 7]) for i in range(0, 50, 7)])
         scale = np.max(np.abs(whole))
         np.testing.assert_allclose(chunked, pieces, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("d, order, J", [(1, 6, 3), (2, 6, 3), (3, 2, 1)])
+    def test_density_memory_stays_within_the_chunk_budget(self, d, order, J):
+        # each block's chunk counts its interpolation scratch; one row count
+        # for every block, from the factor columns alone, peaked at 6.8 MiB (d = 1)
+        rng = np.random.default_rng(19)
+        cfg = EstimatorConfig(wavelet_order=order, j0=0, J=J, k=1, threshold_constant=1.0)
+        model = fit_model(rng.random((2048, d)), cfg)
+        pts = rng.random((20_000, d))
+        f, peak = traced_peak(lambda: model.density(pts))
+        assert peak < 1.25 * estimator._CHUNK_BYTES + 3 * f.nbytes
 
 
 class TestScatter:
@@ -558,27 +564,35 @@ class TestScatter:
     def test_fit_memory_is_bounded(self):
         # full-size (n, d, 11**3) index and value arrays would peak at 512 MiB here
         pts = np.random.default_rng(5).random((5000, 3))
-        tracemalloc.start()
-        try:
-            fit_model(pts, EstimatorConfig(wavelet_order=6, j0=0, J=0, k=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: fit_model(pts, EstimatorConfig(wavelet_order=6, j0=0, J=0, k=1)))
         assert peak < 160 * 2**20
 
     def test_large_n_fit_memory_is_bounded(self):
-        # the scatter's chunks stay within the 2 MiB byte budget; a 64 MiB
+        # the scatter's chunks stay within the chunk byte budget; a 64 MiB
         # budget peaked at 45 MiB on this input
         pts = np.random.default_rng(14).random((20_000, 2))
         config = EstimatorConfig(wavelet_order=6, j0=0, J=3, k=1)
         cached_family(6, 10)  # the tables are not part of the fit's peak
-        tracemalloc.start()
-        try:
-            fit_model(pts, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: fit_model(pts, config))
         assert peak < 8 << 20
+
+    def test_fit_never_snaps_all_points_at_once(self, monkeypatch):
+        # an (n, d) int64 array of snapped points, and its float copies, grow
+        # with n; each scatter chunk snaps its own points instead
+        rows = []
+        snap = estimator.snap_to_dyadic
+
+        def recording(points):
+            rows.append(len(points))
+            return snap(points)
+
+        monkeypatch.setattr(estimator, "snap_to_dyadic", recording)
+        pts = np.random.default_rng(15).random((5000, 2))
+        config = EstimatorConfig(wavelet_order=6, j0=0, J=1, k=1)
+        fit_model(pts, config)
+        estimate_coefficients(pts, config)
+        classical_coefficients(pts, config)
+        assert rows and max(rows) < len(pts) // 4
 
 
 class TestRescaleToDomain:

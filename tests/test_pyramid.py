@@ -46,9 +46,9 @@ def test_fit_scatters_once_at_the_finest_level(monkeypatch):
     calls = []
     accumulate = estimator._accumulate_level
 
-    def counting(family, snapped, qs, weights, j):
+    def counting(family, points, qs, weights, j):
         calls.append((list(qs), j))
-        return accumulate(family, snapped, qs, weights, j)
+        return accumulate(family, points, qs, weights, j)
 
     monkeypatch.setattr(estimator, "_accumulate_level", counting)
     points = np.random.default_rng(3).random((200, 2))

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import table_oracle
 from wavedens.errors import ConfigurationError
 from wavedens.wavelets import (
     BasisIndex,
+    _table_at,
     approx_kernel,
     build_family,
     cached_family,
@@ -154,6 +156,28 @@ class TestEvaluation:
         xs = np.linspace(-0.5, 3.5, 37)
         vec = father_at(fam, xs)
         np.testing.assert_allclose(vec, [father_at(fam, x) for x in xs])
+
+    @pytest.mark.parametrize("order", [1, 2, 6, 10])
+    def test_lookup_keeps_the_bits_of_the_expression_form(self, order):
+        fam = cached_family(order, 10)
+        width = fam.support_length
+        rng = np.random.default_rng(order)
+        edges = [0.0, -0.0, float(width), width - 2.0**-30, -(2.0**-30), np.nan, np.inf, -np.inf]
+        # table points, off-table points and the support's edges
+        x = np.concatenate(
+            [rng.uniform(-2.0, width + 2.0, 4000), rng.integers(-2048, (width + 2) << 10, 1000) / 1024.0, edges]
+        )
+        for table in (fam.father_table, fam.mother_table):
+            for arg in (x, x[:1000].reshape(10, 100), x[:0]):
+                got, want = _table_at(table, 10, width, arg), table_oracle.table_at(table, 10, width, arg)
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            for arg in [*x[:200].tolist(), *edges, np.float64(1.5), np.array(0.75)]:
+                got, want = _table_at(table, 10, width, arg), table_oracle.table_at(table, 10, width, arg)
+                assert type(got) is float
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestTensorBasis:
