@@ -164,7 +164,9 @@ def cmd_fit(args) -> int:
         print(f"warning: {verdict.message}", file=sys.stderr)
     rescale_on_grid = args.estimator == "classical" and not args.no_normalize
     # made before the fit, so that a grid past the budget writes no file
-    grid = _grid_spec(points.shape[1], args.grid or 128) if args.grid or rescale_on_grid else None
+    grid = None
+    if args.grid is not None or rescale_on_grid:
+        grid = _grid_spec(points.shape[1], 128 if args.grid is None else args.grid)
     config = EstimatorConfig(
         wavelet_order=args.wavelet,
         j0=args.j0,
@@ -191,7 +193,7 @@ def cmd_fit(args) -> int:
     )
     nonzeros = sum(np.count_nonzero(dense) for _, dense in model.coefficients.blocks.values())
     print(f"wrote {args.output} ({nonzeros} coefficients)", file=sys.stderr)
-    if args.grid:
+    if args.grid is not None:
         field = grid_eval(model, grid)
         out = args.grid_output or args.output.rsplit(".", 1)[0] + ".grid.csv"
         header = ",".join(f"x{a + 1}" for a in range(grid.d)) + ",density"
@@ -297,8 +299,23 @@ def _suite_wavelet() -> bool:
     return bool(ok)
 
 
+def _largest_block_gap(a: dict, b: dict) -> float:
+    """Largest |a - b| between two block maps, taken over the union box of
+    each (j, q) block; a missing block or cell counts as 0."""
+    worst = 0.0
+    for key in a.keys() | b.keys():
+        parts = [(sign, *blocks[key]) for sign, blocks in ((1.0, a), (-1.0, b)) if key in blocks]
+        lo = np.min([zmin for _, zmin, _ in parts], axis=0)
+        hi = np.max([zmin + dense.shape for _, zmin, dense in parts], axis=0)
+        diff = np.zeros(tuple(hi - lo))
+        for sign, zmin, dense in parts:
+            diff[tuple(slice(s, s + n) for s, n in zip(zmin - lo, dense.shape))] += sign * dense
+        worst = max(worst, float(np.abs(diff).max()))
+    return worst
+
+
 def _suite_dilation(seed: int) -> bool:
-    from .estimator import dilation_coefficients, estimate_coefficients, to_single_trend
+    from .estimator import dilation_coefficients, estimate_coefficients
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -308,18 +325,11 @@ def _suite_dilation(seed: int) -> bool:
             direct = estimate_coefficients(
                 pts, EstimatorConfig(wavelet_order=order, j0=2, J=2, k=1, normalize=False)
             )
+            # a trend-only set (J = j0 - 1) at level 3
             fine = estimate_coefficients(
                 pts, EstimatorConfig(wavelet_order=order, j0=3, J=2, k=1, normalize=False)
             )
-            filtered = dilation_coefficients(to_single_trend(fine))
-            keys = set(direct.entries) | set(filtered.entries)
-            worst = max(
-                worst,
-                max(
-                    abs(direct.entries.get(key, 0.0) - filtered.entries.get(key, 0.0))
-                    for key in keys
-                ),
-            )
+            worst = max(worst, _largest_block_gap(direct.blocks, dilation_coefficients(fine).blocks))
     return _check_line(worst < 1e-10, "dilation/direct-vs-filtered", worst, 1e-10)
 
 
@@ -442,7 +452,7 @@ def build_parser() -> _Parser:
     bench.add_argument("config", help="benchmark config JSON")
     bench.add_argument("-o", "--output", required=True, help="report JSON to write")
     bench.add_argument("--csv", default=None, help="report CSV (default: next to the JSON)")
-    bench.add_argument("--threads", type=_positive_int, default=None)
+    bench.add_argument("--threads", type=_positive_int, default=1)
     bench.set_defaults(func=cmd_bench)
 
     check = sub.add_parser("check", help="run statistical and numerical oracle suites")

@@ -63,8 +63,12 @@ class GridSpec:
 
     def cell_centers(self) -> np.ndarray:
         """All cell centers as an (resolution**d, d) array in C order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        r, d = self.resolution, self.d
+        out = np.empty((r**d, d))
+        # each axis fills its column, broadcast over the other axes
+        for a, axis in enumerate(self.axes()):
+            out.reshape((r,) * d + (d,))[..., a] = axis.reshape((r,) + (1,) * (d - 1 - a))
+        return out
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ not depend on worker count or sweep composition.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
@@ -20,7 +22,6 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -125,7 +126,7 @@ def make_mixture(name, weights, means, covariances, domain) -> MixtureSpec:
 _UNIT_SQUARE = [[0.0, 1.0], [0.0, 1.0]]
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def get_density(name: str) -> MixtureSpec:
     """Registry of benchmark densities on the unit square."""
     if name == "anisotropic-pair":
@@ -343,71 +344,59 @@ class BenchmarkReport:
             handle.write("\n".join(lines) + "\n")
 
 
-def _replicate_cell(spec, config, n, replication, truth: Field):
+def _row_field(raw, J, estimator, grid: GridSpec) -> Field:
+    """The grid field of one row: ``raw`` truncated to J and made a density."""
+    coeffs = truncate_details(raw, J)
+    if estimator == SHAPE_PRESERVING:
+        return grid_eval(DensityModel(normalize(coeffs)), grid)
+    # rescaling is linear, so dividing the field by its mass equals
+    # rescaling the coefficients
+    field = grid_eval(DensityModel(coeffs), grid)
+    total = mass(field)
+    if total <= 0.0:
+        raise EstimationError("non-positive grid mass")
+    return Field(field.grid, field.values / total)
+
+
+def _replicate_cell(spec, config, truth: Field, n, replication):
     """One Monte-Carlo replication: draw a sample, fit, evaluate every row.
 
     Returns {(J, k, estimator): (ise, negative_mass, seconds, error)}, where
     error is None or the message of the row's failure.
     """
-    rng = replication_rng(config.seed, spec.name, n, replication)
-    points = sample_mixture(spec, n, rng)
-    j_max = max(config.J_values)
-    out: dict[tuple[int, int, str], tuple] = {}
-
-    def eval_rows(raw, k, estimator):
-        for J in config.J_values:
-            t0 = time.perf_counter()
-            try:
-                coeffs = truncate_details(raw, J)
-                if estimator == SHAPE_PRESERVING:
-                    field = grid_eval(DensityModel(normalize(coeffs)), truth.grid)
-                else:
-                    # rescaling is linear, so dividing the field by its mass
-                    # equals rescaling the coefficients
-                    field = grid_eval(DensityModel(coeffs), truth.grid)
-                    total = mass(field)
-                    if total <= 0.0:
-                        raise EstimationError("non-positive grid mass")
-                    field = Field(field.grid, field.values / total)
-                out[(J, k, estimator)] = (ise(field, truth), negative_mass(field), time.perf_counter() - t0, None)
-            except EstimationError as exc:
-                out[(J, k, estimator)] = (None, None, time.perf_counter() - t0, str(exc))
-
+    points = sample_mixture(spec, n, replication_rng(config.seed, spec.name, n, replication))
     base = EstimatorConfig(
-        wavelet_order=config.wavelet_order,
-        j0=config.j0,
-        J=j_max,
-        k=1,
-        normalize=False,
+        wavelet_order=config.wavelet_order, j0=config.j0, J=max(config.J_values), k=1, normalize=False
     )
+    # (estimator, the ks whose rows the fit fills, raw set or failure message)
+    fits = []
     if SHAPE_PRESERVING in config.estimators:
         # one neighbour query and one basis design for every k the sample
         # supports; each other k fails alone, with the message of its own fit
         valid = [k for k in config.k_values if k < n]
-        groups = ([valid] if valid else []) + [[k] for k in config.k_values if k >= n]
-        for ks in groups:
+        for ks in ([valid] if valid else []) + [[k] for k in config.k_values if k >= n]:
             try:
                 raws = estimate_coefficient_sets(points, base, ks)
+                fits += [(SHAPE_PRESERVING, [k], raw) for k, raw in zip(ks, raws)]
             except EstimationError as exc:
-                for k in ks:
-                    for J in config.J_values:
-                        out[(J, k, SHAPE_PRESERVING)] = (None, None, 0.0, str(exc))
-                continue
-            for k, raw in zip(ks, raws):
-                eval_rows(raw, k, SHAPE_PRESERVING)
+                fits.append((SHAPE_PRESERVING, ks, str(exc)))
     if CLASSICAL in config.estimators:
         try:
-            raw = classical_coefficients(points, base)
+            fits.append((CLASSICAL, config.k_values, classical_coefficients(points, base)))
         except EstimationError as exc:
-            for J in config.J_values:
-                for k in config.k_values:
-                    out[(J, k, CLASSICAL)] = (None, None, 0.0, str(exc))
+            fits.append((CLASSICAL, config.k_values, str(exc)))
+    out: dict[tuple[int, int, str], tuple] = {}
+    for (estimator, ks, raw), J in itertools.product(fits, config.J_values):
+        if isinstance(raw, str):
+            row = (None, None, 0.0, raw)
         else:
-            eval_rows(raw, config.k_values[0], CLASSICAL)
-            for J in config.J_values:
-                template = out[(J, config.k_values[0], CLASSICAL)]
-                for k in config.k_values[1:]:
-                    out[(J, k, CLASSICAL)] = template
+            t0 = time.perf_counter()
+            try:
+                field = _row_field(raw, J, estimator, truth.grid)
+                row = (ise(field, truth), negative_mass(field), time.perf_counter() - t0, None)
+            except EstimationError as exc:
+                row = (None, None, time.perf_counter() - t0, str(exc))
+        out.update(dict.fromkeys([(J, k, estimator) for k in ks], row))
     return out
 
 
@@ -423,60 +412,35 @@ def software_versions() -> dict:
     }
 
 
-def run_benchmark(config: BenchmarkConfig, workers: int | None = None) -> BenchmarkReport:
+def run_benchmark(config: BenchmarkConfig, workers: int = 1) -> BenchmarkReport:
     """Run the full sweep; the report is independent of the worker count.
 
     Replications are independent tasks keyed by their own RNG substream and
     reduced in fixed order; a failing row is marked rather than aborting the
-    sweep.  ``workers`` is the thread count (None: the executor's default;
-    1: serial).
+    sweep.  ``workers`` is the thread count (1: serial).
     """
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cached_family(config.wavelet_order, DEFAULT_RESOLUTION)
     rows: list[BenchRow] = []
     for density in config.densities:
         spec = get_density(density)
-        grid = GridSpec.from_box(spec.domain, config.grid_resolution)
-        truth = true_density_field(spec, grid)
+        truth = true_density_field(spec, GridSpec.from_box(spec.domain, config.grid_resolution))
         for n in config.sample_sizes:
-            def task(m, _n=n, _spec=spec):
-                return _replicate_cell(_spec, config, _n, m, truth)
-
+            task = functools.partial(_replicate_cell, spec, config, truth, n)
             # catch_warnings swaps process-wide filters: never enter it in a worker
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", KConsistencyWarning)
-                if workers is None or workers > 1:
+                if workers > 1:
                     with ThreadPoolExecutor(max_workers=workers) as pool:
                         results = list(pool.map(task, range(config.replications)))
                 else:
-                    results = [task(m) for m in range(config.replications)]
-
-            for J in config.J_values:
-                for k in config.k_values:
-                    for estimator in config.estimators:
-                        key = (J, k, estimator)
-                        ises, negs, secs, errors = [], [], 0.0, []
-                        for res in results:
-                            err2, neg, sec, err = res[key]
-                            secs += sec
-                            if err is not None:
-                                errors.append(err)
-                            else:
-                                ises.append(err2)
-                                negs.append(neg)
-                        if errors:
-                            rows.append(
-                                BenchRow(density, n, J, k, estimator, None, None, None, secs, errors[0])
-                            )
-                        else:
-                            mise, se = mise_aggregate(ises)
-                            rows.append(
-                                BenchRow(
-                                    density, n, J, k, estimator,
-                                    mise, se, float(np.mean(negs)), secs, None,
-                                )
-                            )
+                    results = list(map(task, range(config.replications)))
+            for key in itertools.product(config.J_values, config.k_values, config.estimators):
+                ises, negs, secs, errors = zip(*(res[key] for res in results))
+                error = next((err for err in errors if err is not None), None)
+                stats = (None, None, None) if error is not None else (*mise_aggregate(ises), float(np.mean(negs)))
+                rows.append(BenchRow(density, n, *key, *stats, sum(secs), error))
     provenance = {"config": config.to_dict(), **software_versions()}
     return BenchmarkReport(rows=tuple(rows), provenance=provenance)
 

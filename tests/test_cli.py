@@ -14,6 +14,7 @@ from wavedens.errors import DataError, KConsistencyWarning
 from wavedens.estimator import (
     DensityModel,
     EstimatorConfig,
+    estimate_coefficients,
     fit_model,
     model_from_file,
     read_coefficients,
@@ -425,6 +426,22 @@ class TestEvalRejectsBadCoefficientFiles:
         assert main(["eval", str(path), "--grid", "4", "-o", str(tmp_path / "out.csv")]) == 0
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+@pytest.mark.parametrize("resolution", ["0", "1"])
+def test_grid_below_two_cells_exits_2_and_writes_nothing(uniform_csv, tmp_path, capsys, command, resolution):
+    model = tmp_path / "m.json"
+    if command == "eval":
+        assert main(["fit", str(uniform_csv), "-o", str(model), "--J", "0"]) == 0
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "out.csv"
+    args = ["-o", str(model), "--J", "0", "--grid-output", str(out)] if command == "fit" else ["-o", str(out)]
+    capsys.readouterr()
+    source = uniform_csv if command == "fit" else model
+    assert main([command, str(source), "--grid", resolution, *args]) == 2
+    assert "grid resolution must be >= 2" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestGridBudget:
     @pytest.fixture(autouse=True)
     def small_budget(self, monkeypatch):
@@ -518,6 +535,19 @@ class TestCheck:
     def test_dilation_suite(self, capsys):
         assert main(["check", "dilation", "--seed", "5"]) == 0
         assert "dilation/direct-vs-filtered" in capsys.readouterr().out
+
+    def test_block_gap_is_the_entry_gap(self):
+        pts = np.random.default_rng(3).random((60, 2))
+        a = estimate_coefficients(pts, EstimatorConfig(wavelet_order=2, j0=1, J=2, k=1, normalize=False))
+        # fewer points give smaller boxes, and J = 1 drops a's level-2 blocks
+        b = estimate_coefficients(pts[:20], EstimatorConfig(wavelet_order=2, j0=1, J=1, k=1, normalize=False))
+        gap = max(
+            abs(a.entries.get(key, 0.0) - b.entries.get(key, 0.0))
+            for key in a.entries.keys() | b.entries.keys()
+        )
+        assert cli._largest_block_gap(a.blocks, b.blocks) == gap
+        assert cli._largest_block_gap(b.blocks, a.blocks) == gap
+        assert cli._largest_block_gap(a.blocks, a.blocks) == 0.0
 
     def test_stochastic_suite_needs_seed(self):
         assert main(["check", "exp-law"]) == 1

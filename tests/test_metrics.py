@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dict_oracle as oracle
+from heap import traced_peak
 from wavedens.estimator import DensityModel, EstimatorConfig, fit_model
 from wavedens.metrics import Field, GridSpec, grid_eval, ise, mass, mise_aggregate, negative_mass
 from wavedens.wavelets import BasisIndex
@@ -25,6 +26,18 @@ class TestGridSpec:
             grid.cell_centers(),
             [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]],
         )
+
+    @pytest.mark.parametrize("box", [[[0.0, 1.0]], [[0.0, 2.0], [-1.0, 0.5]], [[0.0, 1.0], [0.1, 0.2], [3.0, 7.0]]])
+    def test_cell_centers_are_the_meshgrid(self, box):
+        grid = GridSpec.from_box(box, 5)
+        mesh = np.meshgrid(*grid.axes(), indexing="ij")
+        np.testing.assert_array_equal(grid.cell_centers(), np.stack([m.ravel() for m in mesh], axis=-1))
+
+    def test_cell_centers_hold_one_array(self):
+        grid = GridSpec.unit(2, 128)
+        centers, peak = traced_peak(grid.cell_centers)
+        assert centers.nbytes == 0.25 * 2**20
+        assert peak <= 1.1 * centers.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import os
 import platform
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ from wavedens.simulation import (
     sample_mixture,
     true_density_field,
 )
+
+# both estimators, with k that n = 4 cannot support; the expected rows, wall
+# time stripped, are frozen in data/mixed_sweep_rows.json
+MIXED_SWEEP = BenchmarkConfig(
+    densities=("similar-pair",), sample_sizes=(4, 64), replications=2,
+    J_values=(-1, 1), k_values=(1, 4, 8), wavelet_order=2, grid_resolution=32, seed=13,
+)
+MIXED_SWEEP_ROWS = Path(__file__).parent / "data" / "mixed_sweep_rows.json"
 
 
 class TestRegistry:
@@ -205,13 +214,37 @@ class TestBenchmark:
         assert by_k[1].error is None
         assert report.failed
 
+    def test_mixed_sweep_rows_are_frozen(self):
+        rows = [
+            {key: val for key, val in row._asdict().items() if key != "wall_time"}
+            for row in run_benchmark(MIXED_SWEEP, workers=1).rows
+        ]
+        assert rows == json.loads(MIXED_SWEEP_ROWS.read_text())
+
+    def test_classical_rows_that_fail_at_evaluation(self, monkeypatch):
+        config = dataclasses.replace(MIXED_SWEEP, sample_sizes=(64,))
+        shape_preserving = [
+            row._replace(wall_time=0.0) for row in run_benchmark(config, workers=1).rows
+            if row.estimator == "shape-preserving"
+        ]
+        monkeypatch.setattr(simulation, "mass", lambda field: 0.0)
+        report = run_benchmark(config, workers=1)
+        classical = [row for row in report.rows if row.estimator == "classical"]
+        assert sorted((row.J, row.k) for row in classical) == [
+            (J, k) for J in config.J_values for k in config.k_values
+        ]
+        assert all(row.error == "non-positive grid mass" and row.mise is None for row in classical)
+        assert [
+            row._replace(wall_time=0.0) for row in report.rows if row.estimator == "shape-preserving"
+        ] == shape_preserving
+
     def test_deterministic_and_worker_invariant(self):
         config = BenchmarkConfig(
             densities=("similar-pair",), sample_sizes=(64,), replications=4,
             J_values=(-1, 0), k_values=(1,), wavelet_order=2, grid_resolution=32, seed=11,
         )
         rows = []
-        for workers in (1, 3, None):
+        for workers in (1, 3, 2):
             report = run_benchmark(config, workers=workers)
             rows.append([row._replace(wall_time=0.0) for row in report.rows])
         assert rows[0] == rows[1] == rows[2]
