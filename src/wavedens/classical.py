@@ -32,7 +32,8 @@ def classical_coefficients(points, config: EstimatorConfig) -> CoefficientSet:
     if n < 1:
         raise EstimationError("need at least one point")
     _check_in_unit_cube(pts)
-    sums = _coefficient_sums(pts, np.ones((1, n)), config)[0]
+    # a read-only row of ones that holds no per-point memory
+    sums = _coefficient_sums(pts, np.broadcast_to(1.0, (1, n)), config)[0]
     return CoefficientSet(
         blocks={key: (zmin, dense / n) for key, (zmin, dense) in sums.items()},
         d=d,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: fit, eval, bench, check, wavelet-table.  Exit codes: 0 success,
-1 usage, 2 data error, 3 numeric or degenerate error.  Diagnostics go to
-stderr; data goes to the requested files or stdout.
+1 usage, 2 data error (a missing or unwritable file included), 3 numeric or
+degenerate error.  Diagnostics go to stderr; data goes to the requested
+files or stdout.
 """
 
 from __future__ import annotations
@@ -480,7 +481,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # a missing, unreadable or unwritable file is a data error
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except WavedensError as exc:

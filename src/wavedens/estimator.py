@@ -34,12 +34,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import (
+    BudgetError,
     DataError,
     DegenerateModelError,
     EstimationError,
     KConsistencyWarning,
 )
-from .neighbors import _knn_stats, as_points, validate_k
+from .neighbors import as_points, knn_radii, unit_ball_volume, validate_k
 from .wavelets import DEFAULT_RESOLUTION, MAX_ORDER, BasisIndex, WaveletFamily, cached_family, _table_at
 
 SCHEMA_VERSION = 1
@@ -78,8 +79,9 @@ class EstimatorConfig:
             raise ValueError(f"J must be >= j0 - 1, got J={self.J}, j0={self.j0}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.threshold_constant is not None and self.threshold_constant < 0:
-            raise ValueError("threshold_constant must be >= 0")
+        # written so that NaN fails too
+        if self.threshold_constant is not None and not self.threshold_constant >= 0:
+            raise ValueError(f"threshold_constant must be >= 0, got {self.threshold_constant}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +284,15 @@ def _estimate_sets(points, config: EstimatorConfig, ks, stacklevel: int) -> list
         verdict = validate_k(n, k)
         if not verdict.ok:
             warnings.warn(verdict.message, KConsistencyWarning, stacklevel=stacklevel)
-    weights = np.stack([consistency_factor(s.k) / math.sqrt(n) * np.sqrt(s.volumes) for s in _knn_stats(pts, ks)])
+    # each row of radii becomes the weights consistency_factor(k) / sqrt(n)
+    # * sqrt(c0 * r**d) in place, with the same operations as that expression
+    weights = knn_radii(pts, ks)
+    c0 = unit_ball_volume(d)
+    for k, w in zip(ks, weights):
+        w **= d
+        w *= c0
+        np.sqrt(w, out=w)
+        w *= consistency_factor(k) / math.sqrt(n)
     return [
         CoefficientSet(
             blocks=blocks,
@@ -310,8 +320,8 @@ def normalization_mass(coeffs: CoefficientSet) -> float:
 def normalize(coeffs: CoefficientSet) -> CoefficientSet:
     """Scale all coefficients so the squared mass is one."""
     mass = normalization_mass(coeffs)
-    if mass <= 0.0:
-        raise DegenerateModelError("cannot normalize a zero-mass coefficient set")
+    if not 0.0 < mass < math.inf:
+        raise DegenerateModelError(f"cannot normalize a coefficient set of mass {mass}")
     if coeffs.normalized and abs(mass - 1.0) <= 1e-12:
         return coeffs
     scale = 1.0 / math.sqrt(mass)
@@ -322,11 +332,15 @@ def normalize(coeffs: CoefficientSet) -> CoefficientSet:
 def soft_threshold(coeffs: CoefficientSet, threshold_constant: float) -> CoefficientSet:
     """Soft-threshold detail entries with level-dependent threshold
     t_j = C sqrt(j+1) / sqrt(n), n the set's sample size; trend blocks are
-    untouched and exact zeros are trimmed away."""
-    if threshold_constant < 0:
-        raise ValueError("threshold constant must be >= 0")
+    untouched and exact zeros are trimmed away.  Raises ValueError for a
+    constant that is negative or NaN, and for a detail level below -1,
+    where sqrt(j+1) is undefined."""
+    if not threshold_constant >= 0:
+        raise ValueError(f"threshold constant must be >= 0, got {threshold_constant}")
     if threshold_constant == 0.0:
         return coeffs
+    if coeffs.j0 < -1 and coeffs.J >= coeffs.j0:
+        raise ValueError(f"detail level j={coeffs.j0} has no threshold: t_j = C sqrt(j+1) / sqrt(n) needs j >= -1")
     blocks = {}
     for (j, q), (zmin, dense) in coeffs.blocks.items():
         if q:
@@ -638,9 +652,32 @@ def fit_model(points, config: EstimatorConfig) -> DensityModel:
     return DensityModel(coeffs)
 
 
+def _cells_past_budget(shapes) -> str | None:
+    """Name the first block at which the running count of cells of
+    ``shapes``, ((j, q), block shape) pairs in file order, passes
+    ``_MAX_FILE_CELLS``; None when they all fit."""
+    cells = 0
+    for (j, q), shape in shapes:
+        cells += math.prod(shape)
+        if cells > _MAX_FILE_CELLS:
+            return f"block (j={j}, q={q}) spans {shape} translates, past {_MAX_FILE_CELLS} cells"
+    return None
+
+
 def write_coefficients(path, coeffs: CoefficientSet, *, domain=None, affine=None, provenance=None) -> None:
     """Write a coefficient file; values carry 17 significant digits so that
-    reading the file back reproduces the in-memory floats exactly."""
+    reading the file back reproduces the in-memory floats exactly.
+
+    A set that ``read_coefficients`` would refuse is refused before the file
+    is opened: BudgetError when its blocks span more than
+    ``_MAX_FILE_CELLS`` cells in all, DegenerateModelError when a value is
+    not finite."""
+    past = _cells_past_budget((key, dense.shape) for key, (_, dense) in coeffs.blocks.items())
+    if past is not None:
+        raise BudgetError(f"{path}: {past}, so the file could not be read back")
+    for (j, q), (_, dense) in coeffs.blocks.items():
+        if not np.isfinite(dense).all():
+            raise DegenerateModelError(f"{path}: block (j={j}, q={q}) holds a non-finite coefficient")
     head = {
         "schema_version": SCHEMA_VERSION,
         "kind": coeffs.kind,
@@ -701,8 +738,7 @@ def _file_blocks(groups, path, *, d, j0, J, wavelet_order, kind, **_):
             scaled = False
         if not scaled:
             raise DataError(f"{path}: level {level} puts 2**j or 2**(d*j/2) outside the finite nonzero float64 range")
-    blocks = {}
-    cells = 0
+    parsed = []
     for (j, q), (zs, vals) in groups.items():
         short = next((i for i, z in enumerate(zs) if len(z) != d), 0)
         if not 0 <= q < (1 << d) or len(zs[short]) != d:
@@ -722,9 +758,12 @@ def _file_blocks(groups, path, *, d, j0, J, wavelet_order, kind, **_):
         lo = z.min(axis=0)
         # in Python integers, which no translate range overflows
         shape = tuple(int(b) - int(a) + 1 for a, b in zip(lo, z.max(axis=0)))
-        cells += math.prod(shape)
-        if cells > _MAX_FILE_CELLS:
-            raise DataError(f"{path}: block (j={j}, q={q}) spans {shape} translates, past {_MAX_FILE_CELLS} cells")
+        parsed.append(((j, q), zs, z, lo, shape, values))
+    past = _cells_past_budget((key, shape) for key, _, _, _, shape, _ in parsed)
+    if past is not None:
+        raise DataError(f"{path}: {past}")
+    blocks = {}
+    for (j, q), zs, z, lo, shape, values in parsed:
         flat = np.ravel_multi_index(tuple((z - lo).T), shape)
         first = np.unique(flat, return_index=True)[1]
         if first.size < flat.size:

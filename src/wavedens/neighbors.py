@@ -58,12 +58,18 @@ def knn_stats(points, k: int) -> NeighborStats:
     points, so exact ties (including duplicated points) are handled by
     multiset rank and the result does not depend on point ordering.
     """
-    return _knn_stats(as_points(points), [k])[0]
+    pts = as_points(points)
+    d = pts.shape[1]
+    (radii,) = knn_radii(pts, [k])
+    c0 = unit_ball_volume(d)
+    return NeighborStats(k=k, radii=radii, volumes=c0 * radii**d, unit_ball=c0)
 
 
-def _knn_stats(pts: np.ndarray, ks) -> list[NeighborStats]:
-    """``knn_stats`` at every k in ``ks`` from one k-d tree query."""
-    n, d = pts.shape
+def knn_radii(pts: np.ndarray, ks) -> np.ndarray:
+    """The (len(ks), n) array whose row i holds the radii of ``knn_stats`` at
+    k = ks[i], from one k-d tree query; the tree is freed on return, so the
+    caller may reuse the array in place."""
+    n = len(pts)
     if n < 2:
         raise EstimationError(f"need at least 2 points for a neighbour query, got {n}")
     for k in ks:
@@ -78,8 +84,7 @@ def _knn_stats(pts: np.ndarray, ks) -> list[NeighborStats]:
     for start in range(0, n, _QUERY_ROWS):
         rows = tree.indices[start : start + _QUERY_ROWS]
         radii[:, rows] = tree.query(pts[rows], k=[k + 1 for k in ks])[0].T
-    c0 = unit_ball_volume(d)
-    return [NeighborStats(k=k, radii=r, volumes=c0 * r**d, unit_ball=c0) for k, r in zip(ks, radii)]
+    return radii
 
 
 class KCondition(NamedTuple):

@@ -21,7 +21,7 @@ from wavedens.estimator import (
     normalize,
 )
 from wavedens.metrics import GridSpec
-from wavedens.neighbors import _knn_stats, knn_stats, validate_k
+from wavedens.neighbors import knn_radii, knn_stats, unit_ball_volume, validate_k
 from wavedens.simulation import BenchmarkConfig, run_benchmark
 from wavedens.wavelets import BasisIndex, cached_family
 
@@ -133,12 +133,14 @@ def test_one_query_gives_the_radii_of_each_k(d):
     # coordinates on a coarse lattice, plus duplicates: many tied distances
     pts = np.round(np.random.default_rng(d).random((300, d)) * 6) / 6
     pts[-30:] = pts[:30]
-    for k, stats in zip(KS, _knn_stats(pts, KS)):
+    radii = knn_radii(pts, KS)
+    assert radii.shape == (len(KS), len(pts)) and radii.flags.c_contiguous
+    for k, row in zip(KS, radii):
         expected = cKDTree(pts).query(pts, k=k + 1)[0][:, k]
         one = knn_stats(pts, k)
-        assert stats.k == k and stats.radii.flags.c_contiguous
-        assert np.array_equal(stats.radii, expected) and np.array_equal(one.radii, expected)
-        assert np.array_equal(stats.volumes, one.volumes)
+        assert one.k == k
+        assert np.array_equal(row, expected) and np.array_equal(one.radii, expected)
+        assert np.array_equal(unit_ball_volume(d) * row**d, one.volumes)
 
 
 def grid_cases(d):

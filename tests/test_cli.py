@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 from heap import traced_peak
-from wavedens import cli
+from wavedens import cli, estimator
 from wavedens.cli import main, read_points_csv
 from wavedens.errors import DataError, KConsistencyWarning
 from wavedens.estimator import (
@@ -587,3 +587,68 @@ class TestKnnAudit:
 
     def test_knn_requires_points(self):
         assert main(["check", "knn"]) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "{missing}.json", "--grid", "4"],
+        ["eval", "{model}", "{missing}.csv"],
+        ["fit", "{missing}.csv", "-o", "{out}.json", "--J", "1"],
+        ["fit", "{points}", "-o", "{missing}/x.json", "--J", "1"],
+        ["check", "knn", "{missing}.csv"],
+        ["bench", "{missing}.json", "-o", "{out}.json"],
+    ],
+    ids=["eval-model", "eval-points", "fit-points", "fit-output-dir", "check-knn", "bench-config"],
+)
+def test_a_missing_or_unwritable_file_exits_2(uniform_csv, tmp_path, capsys, args):
+    model = tmp_path / "m.json"
+    assert main(["fit", str(uniform_csv), "-o", str(model), "--wavelet", "db2", "--J", "0"]) == 0
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    names = {"missing": tmp_path / "nope", "model": model, "points": uniform_csv, "out": tmp_path / "out"}
+    assert main([arg.format(**names) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] ") and "nope" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+class TestFitRefusesWhatEvalCannotRead:
+    def fit(self, uniform_csv, tmp_path, *flags):
+        return main(["fit", str(uniform_csv), "-o", str(tmp_path / "m.json"), "--wavelet", "db2", *flags])
+
+    def test_a_nan_threshold_exits_2_and_writes_nothing(self, uniform_csv, tmp_path, capsys):
+        assert self.fit(uniform_csv, tmp_path, "--J", "1", "--threshold", "nan") == 2
+        assert "threshold_constant must be >= 0, got nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [uniform_csv]
+
+    def test_a_threshold_below_level_minus_one_names_the_level(self, uniform_csv, tmp_path, capsys):
+        assert self.fit(uniform_csv, tmp_path, "--j0", "-3", "--J", "-1", "--threshold", "1") == 2
+        assert "detail level j=-3 has no threshold" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [uniform_csv]
+
+    @pytest.mark.parametrize(
+        "flags, message", [([], "cannot normalize"), (["--no-normalize"], "non-finite")], ids=["normalized", "raw"]
+    )
+    def test_non_finite_coefficients_exit_3_and_write_nothing(self, uniform_csv, tmp_path, capsys, flags, message):
+        # at level -1 the threshold inf * sqrt(0) is NaN, and so is every detail there
+        assert self.fit(uniform_csv, tmp_path, "--j0", "-1", "--J", "0", "--threshold", "inf", *flags) == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [uniform_csv]
+
+    def test_an_infinite_threshold_keeps_the_trend_alone(self, uniform_csv, tmp_path):
+        assert self.fit(uniform_csv, tmp_path, "--J", "1", "--threshold", "inf") == 0
+        assert {item["q"] for item in json.loads((tmp_path / "m.json").read_text())["entries"]} == {0}
+
+    def test_a_set_past_the_cell_budget_exits_3_and_writes_nothing(self, uniform_csv, tmp_path, capsys, monkeypatch):
+        config = EstimatorConfig(wavelet_order=2, j0=0, J=1, k=1)
+        coeffs = fit_model(read_points_csv(uniform_csv), config).coefficients
+        cells = sum(dense.size for _, dense in coeffs.blocks.values())
+        monkeypatch.setattr(estimator, "_MAX_FILE_CELLS", cells - 1)
+        assert self.fit(uniform_csv, tmp_path, "--J", "1") == 3
+        assert f"past {cells - 1} cells, so the file could not be read back" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [uniform_csv]
+        # at the budget the file is written, and reads back to the same set
+        monkeypatch.setattr(estimator, "_MAX_FILE_CELLS", cells)
+        assert self.fit(uniform_csv, tmp_path, "--J", "1") == 0
+        assert read_coefficients(tmp_path / "m.json")[0] == coeffs

@@ -169,6 +169,12 @@ class TestNormalization:
         with pytest.raises(DegenerateModelError):
             normalize(make_set({}))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_non_finite_mass_degenerate(self, value):
+        with pytest.raises(DegenerateModelError, match="cannot normalize a coefficient set of mass"):
+            normalize(make_set({BasisIndex(0, (0,), 0): value}))
+
 
 class TestSoftThreshold:
     def test_shrinks_detail(self):
@@ -205,6 +211,16 @@ class TestSoftThreshold:
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(make_set({}), -1.0)
+
+    def test_nan_constant_rejected(self):
+        with pytest.raises(ValueError, match="threshold constant must be >= 0, got nan"):
+            soft_threshold(make_set({}), math.nan)
+
+    def test_level_below_minus_one_rejected(self):
+        cs = make_set({BasisIndex(-2, (0,), 1): 0.5}, j0=-2, J=-2, n=25)
+        with pytest.raises(ValueError, match="detail level j=-2"):
+            soft_threshold(cs, 1.0)
+        assert soft_threshold(cs, 0.0) is cs
 
 
 class TestFilterBank:
@@ -576,6 +592,18 @@ class TestScatter:
         _, peak = traced_peak(lambda: fit_model(pts, config))
         assert peak < 8 << 20
 
+    def test_fit_holds_one_weight_array_besides_the_tree(self):
+        # during the k-NN query a fit holds the tree's index and the radii,
+        # which become the weights in place; during the scatter, the weights
+        # and the chunk budget.  Separate radii, volumes and weights peaked
+        # at 24 bytes per point here
+        n = 200_000
+        pts = np.random.default_rng(16).random((n, 2))
+        config = EstimatorConfig(wavelet_order=6, j0=0, J=3, k=1)
+        cached_family(6, 10)
+        _, peak = traced_peak(lambda: fit_model(pts, config))
+        assert peak < 16 * n + estimator._CHUNK_BYTES
+
     def test_fit_never_snaps_all_points_at_once(self, monkeypatch):
         # an (n, d) int64 array of snapped points, and its float copies, grow
         # with n; each scatter chunk snaps its own points instead
@@ -685,3 +713,8 @@ class TestConfigValidation:
     def test_threshold_nonnegative(self):
         with pytest.raises(ValueError):
             EstimatorConfig(threshold_constant=-0.5)
+
+    def test_threshold_not_nan(self):
+        with pytest.raises(ValueError, match="got nan"):
+            EstimatorConfig(threshold_constant=math.nan)
+        assert EstimatorConfig(threshold_constant=math.inf).threshold_constant == math.inf

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavedens.errors import EstimationError
-from wavedens.neighbors import _knn_stats, knn_stats, unit_ball_volume, validate_k
+from wavedens.neighbors import knn_radii, knn_stats, unit_ball_volume, validate_k
 
 
 def brute_force_radii(points, k):
@@ -112,11 +112,11 @@ def test_leaf_order_queries_land_on_their_own_rows(d):
     # thousands of points: a tree of many leaves, queried in several slices
     pts = lattice_with_duplicates(3000, d, seed=d)
     perm = np.random.default_rng(10 + d).permutation(len(pts))
-    both = _knn_stats(pts, (1, 4))
-    assert np.any(both[0].radii == 0.0)
-    for k, stats in zip((1, 4), both):
-        assert np.array_equal(stats.radii, chunked_brute_force_radii(pts, k))
-        assert knn_stats(pts[perm], k).radii.tobytes() == stats.radii[perm].tobytes()
+    both = knn_radii(pts, (1, 4))
+    assert np.any(both[0] == 0.0)
+    for k, radii in zip((1, 4), both):
+        assert np.array_equal(radii, chunked_brute_force_radii(pts, k))
+        assert knn_stats(pts[perm], k).radii.tobytes() == radii[perm].tobytes()
 
 
 class TestValidateK:
