@@ -28,7 +28,7 @@ from .estimator import (
     write_coefficients,
     AffineMap,
 )
-from .metrics import GridSpec, grid_eval
+from .metrics import GridSpec, grid_eval, point_chunks
 from .neighbors import knn_stats, validate_k
 from .simulation import (
     BenchmarkConfig,
@@ -132,18 +132,19 @@ def _grid_spec(d: int, resolution: int, box=None) -> GridSpec:
     return GridSpec.unit(d, resolution) if box is None else GridSpec.from_box(box, resolution)
 
 
-def _write_csv(path, head_lines, columns):
-    """Write ``head_lines``, then one row per index of the equal-length 1-D
-    ``columns`` to ``path``, or to stdout (left open) when no path is given.
+def _write_csv(path, head_lines, rows, columns):
+    """Write ``head_lines``, then ``rows`` rows to ``path``, or to stdout
+    (left open) when no path is given.  ``columns(start, stop)`` gives the
+    equal-length 1-D columns of rows [start, stop); the writer asks for one
+    chunk of rows at a time, so only that chunk's columns need exist.
     Each value is its Python ``repr`` (``%r``): the shortest round trip of a
-    float, the digits of an int.  Rows are formatted in chunks by one ``%``
-    each."""
-    row = ",".join(["%r"] * len(columns)) + "\n"
+    float, the digits of an int.  A chunk is formatted by one ``%``."""
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as handle:
         for line in head_lines:
             handle.write(line + "\n")
-        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+        for start in range(0, rows, _CSV_CHUNK_ROWS):
+            chunk = [col.tolist() for col in columns(start, min(start + _CSV_CHUNK_ROWS, rows))]
+            row = ",".join(["%r"] * len(chunk)) + "\n"
             handle.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
@@ -195,12 +196,12 @@ def cmd_fit(args) -> int:
     nonzeros = sum(np.count_nonzero(dense) for _, dense in model.coefficients.blocks.values())
     print(f"wrote {args.output} ({nonzeros} coefficients)", file=sys.stderr)
     if args.grid is not None:
-        field = grid_eval(model, grid)
+        values = grid_eval(model, grid).values.ravel()
         out = args.grid_output or args.output.rsplit(".", 1)[0] + ".grid.csv"
         header = ",".join(f"x{a + 1}" for a in range(grid.d)) + ",density"
         _write_csv(
-            out, [f"# wavedens {__version__} fit grid; seed={args.seed}", header],
-            [*grid.cell_centers().T, field.values.ravel()],
+            out, [f"# wavedens {__version__} fit grid; seed={args.seed}", header], grid.cells,
+            lambda start, stop: [*grid.cell_centers(start, stop).T, values[start:stop]],
         )
         print(f"wrote {out}", file=sys.stderr)
     return 0
@@ -218,26 +219,35 @@ def cmd_eval(args) -> int:
             scale=np.asarray(aff["scale"], dtype=float),
             offset=np.asarray(aff["offset"], dtype=float),
         )
+    # coords(start, stop) gives the rows [start, stop) of the points, or the
+    # centers of those grid cells: a grid is walked a chunk at a time and
+    # only g is held for all of it
     if args.points is not None:
         pts = read_points_csv(args.points, model.d)
+        rows, coords = len(pts), lambda start, stop: pts[start:stop]
     elif args.grid is not None:
-        pts = _grid_spec(model.d, args.grid, extras.get("domain")).cell_centers()
+        grid = _grid_spec(model.d, args.grid, extras.get("domain"))
+        rows, coords = grid.cells, grid.cell_centers
     else:
         raise DataError("need a points CSV or --grid R")
-    eval_pts = affine.forward(pts) if affine is not None else pts
-    g_vals = model.reconstruct(eval_pts)
-    f_vals = model._density_from(g_vals)
-    if affine is not None:
-        f_vals = f_vals * affine.jacobian
-    nonfinite = np.count_nonzero(~np.isfinite(f_vals))
+    g_vals = np.empty(rows)
+    for start, stop in point_chunks(rows, model.d):
+        x = coords(start, stop)
+        g_vals[start:stop] = model.reconstruct(x if affine is None else affine.forward(x))
+
+    def f_vals(start, stop):
+        f = model._density_from(g_vals[start:stop])
+        return f if affine is None else f * affine.jacobian
+
+    nonfinite = sum(np.count_nonzero(~np.isfinite(f_vals(*chunk))) for chunk in point_chunks(rows, model.d))
     if nonfinite:
         raise DegenerateModelError(
-            f"{args.coefficients}: the density is not finite at {nonfinite} of {len(f_vals)} points"
+            f"{args.coefficients}: the density is not finite at {nonfinite} of {rows} points"
         )
     header = ",".join(f"x{a + 1}" for a in range(model.d)) + ",g,f"
     _write_csv(
-        args.output, [f"# wavedens {__version__} eval; model={args.coefficients}", header],
-        [*pts.T, g_vals, f_vals],
+        args.output, [f"# wavedens {__version__} eval; model={args.coefficients}", header], rows,
+        lambda start, stop: [*coords(start, stop).T, g_vals[start:stop], f_vals(start, stop)],
     )
     if args.output:
         print(f"wrote {args.output}", file=sys.stderr)
@@ -399,7 +409,10 @@ def cmd_wavelet_table(args) -> int:
     _write_csv(
         args.output,
         [f"# wavedens {__version__} wavelet-table db{args.wavelet} r={args.resolution}", "x,phi,psi"],
-        [np.arange(family.father_table.size) * step, family.father_table, family.mother_table],
+        family.father_table.size,
+        lambda start, stop: [
+            np.arange(start, stop) * step, family.father_table[start:stop], family.mother_table[start:stop]
+        ],
     )
     return 0
 
@@ -410,7 +423,8 @@ def _knn_audit(args) -> int:
     _write_csv(
         args.output,
         [f"# wavedens {__version__} check knn; k={args.k}", "index,radius,volume"],
-        [np.arange(points.shape[0]), stats.radii, stats.volumes],
+        points.shape[0],
+        lambda start, stop: [np.arange(start, stop), stats.radii[start:stop], stats.volumes[start:stop]],
     )
     return 0
 

@@ -331,8 +331,9 @@ def normalize(coeffs: CoefficientSet) -> CoefficientSet:
 
 def soft_threshold(coeffs: CoefficientSet, threshold_constant: float) -> CoefficientSet:
     """Soft-threshold detail entries with level-dependent threshold
-    t_j = C sqrt(j+1) / sqrt(n), n the set's sample size; trend blocks are
-    untouched and exact zeros are trimmed away.  Raises ValueError for a
+    t_j = C sqrt(j+1) / sqrt(n), n the set's sample size; trend blocks and
+    the level -1 details (t_{-1} = 0, for an infinite C too) are untouched
+    and exact zeros are trimmed away.  Raises ValueError for a
     constant that is negative or NaN, and for a detail level below -1,
     where sqrt(j+1) is undefined."""
     if not threshold_constant >= 0:
@@ -343,7 +344,7 @@ def soft_threshold(coeffs: CoefficientSet, threshold_constant: float) -> Coeffic
         raise ValueError(f"detail level j={coeffs.j0} has no threshold: t_j = C sqrt(j+1) / sqrt(n) needs j >= -1")
     blocks = {}
     for (j, q), (zmin, dense) in coeffs.blocks.items():
-        if q:
+        if q and j >= 0:
             t_j = threshold_constant * math.sqrt(j + 1) / math.sqrt(coeffs.n)
             dense = np.copysign(np.maximum(np.abs(dense) - t_j, 0.0), dense)
         blocks[(j, q)] = (zmin, dense)
@@ -489,6 +490,21 @@ def rescale_to_domain(points, padding: float = 0.0):
     return mapping.forward(pts), mapping
 
 
+def row_chunks(n: int, rows: int):
+    """Ranges (start, stop) that cover n rows, ``rows`` at a time.  A lone
+    last row joins the chunk before it: numpy multiplies a single row
+    through another BLAS kernel than several, which rounds differently, so
+    with this rule a row of an input of two or more rows gets the same
+    bits in any chunking."""
+    start = 0
+    while start < n:
+        stop = min(start + rows, n)
+        if n - stop == 1 and rows > 1:
+            stop = n
+        yield start, stop
+        start = stop
+
+
 def _axis_factors(family: WaveletFamily, j: int, q: int, zmin, shape, axes) -> list[np.ndarray]:
     """Per-axis factor matrices of one (level, orientation) block.
 
@@ -551,7 +567,9 @@ class DensityModel:
         ``_CHUNK_BYTES``, counting per row the block's factor columns, the
         interpolation scratch of its widest axis (the t - z array and three
         more in ``_table_at``) and its partial contractions; a small block
-        takes long chunks and a wide one short chunks."""
+        takes long chunks and a wide one short chunks.  A row's value does
+        not depend on the rows evaluated with it, when there are at least
+        two (``row_chunks``)."""
         pts = as_points(points)
         if pts.shape[1] != self.d:
             raise ValueError(f"expected dimension {self.d}, got {pts.shape[1]}")
@@ -559,14 +577,13 @@ class DensityModel:
         for (j, q), (zmin, dense) in self.coefficients.blocks.items():
             shape = dense.shape
             floats = sum(shape) + 4 * max(shape) + sum(math.prod(shape[a:]) for a in range(1, self.d + 1))
-            rows = max(1, _CHUNK_BYTES // (8 * floats))
-            for start in range(0, pts.shape[0], rows):
-                chunk = pts[start : start + rows]
+            for start, stop in row_chunks(pts.shape[0], max(1, _CHUNK_BYTES // (8 * floats))):
+                chunk = pts[start:stop]
                 factors = _axis_factors(self.family, j, q, zmin, shape, chunk.T)
                 acc = factors[0] @ dense.reshape(len(dense), -1)
                 for a in range(1, self.d):
                     acc = np.einsum("nsr,ns->nr", acc.reshape(len(chunk), shape[a], -1), factors[a])
-                out[start : start + rows] += 2.0 ** (self.d * j / 2.0) * acc[:, 0]
+                out[start:stop] += 2.0 ** (self.d * j / 2.0) * acc[:, 0]
                 # freed before the next chunk builds its own
                 del factors, acc
         return out

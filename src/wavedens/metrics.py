@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import DensityModel
+from .estimator import _CHUNK_BYTES, DensityModel, row_chunks
 
 
 @dataclass(frozen=True)
@@ -47,27 +47,55 @@ class GridSpec:
         return len(self.box)
 
     @property
+    def cells(self) -> int:
+        return self.resolution**self.d
+
+    @property
     def cell_volume(self) -> float:
         vol = 1.0
         for lo, hi in self.box:
             vol *= (hi - lo) / self.resolution
         return vol
 
+    def _axis(self, a: int, first: int = 0, stop: int | None = None) -> np.ndarray:
+        """Cell-center coordinates first..stop-1 along axis a."""
+        lo, hi = self.box[a]
+        step = (hi - lo) / self.resolution
+        return lo + (np.arange(first, self.resolution if stop is None else stop) + 0.5) * step
+
     def axes(self) -> list[np.ndarray]:
         """Cell-center coordinates along each axis."""
-        out = []
-        for lo, hi in self.box:
-            step = (hi - lo) / self.resolution
-            out.append(lo + (np.arange(self.resolution) + 0.5) * step)
-        return out
+        return [self._axis(a) for a in range(self.d)]
 
-    def cell_centers(self) -> np.ndarray:
-        """All cell centers as an (resolution**d, d) array in C order."""
+    def cell_centers(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Centers of the cells [start, stop) in C order, all of them by
+        default, as a (stop - start, d) array.
+
+        Along axis a the coordinate holds for a run of r**(d-1-a) cells and
+        the r runs repeat; each column is filled run by run, or period by
+        period, through reshaped views, so nothing else as large as the
+        output is allocated.
+        """
         r, d = self.resolution, self.d
-        out = np.empty((r**d, d))
-        # each axis fills its column, broadcast over the other axes
-        for a, axis in enumerate(self.axes()):
-            out.reshape((r,) * d + (d,))[..., a] = axis.reshape((r,) + (1,) * (d - 1 - a))
+        stop = self.cells if stop is None else stop
+        out = np.empty((stop - start, d))
+        for a in range(d):
+            run, column, i = r ** (d - 1 - a), out[:, a], 0
+            while i < len(column):
+                q, off = divmod(start + i, run)
+                q %= r
+                left = len(column) - i
+                if off or left < run:  # the rest of one run
+                    m = min(run - off, left)
+                    column[i : i + m] = self._axis(a, q, q + 1)
+                elif q == 0 and left >= r * run:  # whole periods
+                    m = left // (r * run) * r * run
+                    column[i : i + m].reshape(-1, r, run)[...] = self._axis(a)[:, None]
+                else:  # whole runs, up to the end of the period
+                    k = min(r - q, left // run)
+                    m = k * run
+                    column[i : i + m].reshape(k, run)[...] = self._axis(a, q, q + k)[:, None]
+                i += m
         return out
 
 
@@ -84,16 +112,26 @@ class Field:
             raise ValueError(f"values shape {self.values.shape} != grid shape {expected}")
 
 
+def point_chunks(n: int, d: int):
+    """Ranges (start, stop) that walk n points (or cells) of dimension d
+    whose coordinates take a sixteenth of ``_CHUNK_BYTES`` per chunk: small
+    beside the scratch of the work done on them."""
+    return row_chunks(n, max(1, _CHUNK_BYTES // (16 * 8 * d)))
+
+
 def grid_eval(density, grid: GridSpec) -> Field:
     """Evaluate a density on a grid.
 
     ``density`` is either a DensityModel (evaluated through the fast
-    separable path) or a callable mapping an (m, d) array to (m,) values.
+    separable path) or a callable mapping an (m, d) array to (m,) values,
+    called on one chunk of cell centers at a time.
     """
     if isinstance(density, DensityModel):
         values = density.density_on_axes(grid.axes())
     else:
-        values = np.asarray(density(grid.cell_centers()), dtype=float)
+        values = np.empty(grid.cells)
+        for start, stop in point_chunks(grid.cells, grid.d):
+            values[start:stop] = density(grid.cell_centers(start, stop))
         values = values.reshape((grid.resolution,) * grid.d)
     return Field(grid=grid, values=values)
 

@@ -30,8 +30,9 @@ from scipy.special import gammaln
 
 from . import __version__
 from .classical import classical_coefficients
-from .errors import ConfigurationError, DataError, EstimationError, KConsistencyWarning
+from .errors import BudgetError, ConfigurationError, DataError, EstimationError, KConsistencyWarning
 from .estimator import (
+    _MAX_FILE_CELLS,
     DensityModel,
     EstimatorConfig,
     estimate_coefficient_sets,
@@ -94,7 +95,9 @@ def _box_volume(domain: np.ndarray) -> float:
 
 def make_mixture(name, weights, means, covariances, domain) -> MixtureSpec:
     """Build a truncated-mixture spec, computing its normalizer by grid
-    quadrature at resolution 1024 per axis."""
+    quadrature at resolution 1024 per axis.  Raises BudgetError, before the
+    quadrature allocates, when that grid holds more than ``_MAX_FILE_CELLS``
+    cells (d >= 3)."""
     weights = np.asarray(weights, dtype=float)
     means = np.asarray(means, dtype=float)
     covariances = np.asarray(covariances, dtype=float)
@@ -106,8 +109,12 @@ def make_mixture(name, weights, means, covariances, domain) -> MixtureSpec:
             if not np.allclose(cov, cov.T) or np.linalg.eigvalsh(cov).min() <= 0:
                 raise ConfigurationError("covariances must be symmetric positive definite")
         grid = GridSpec.from_box(domain, _NORMALIZER_RESOLUTION)
-        centers = grid.cell_centers()
-        values = _raw_mixture_pdf(weights, means, covariances, centers)
+        if grid.cells > _MAX_FILE_CELLS:
+            raise BudgetError(
+                f"the normalizer's {_NORMALIZER_RESOLUTION}^{grid.d} quadrature grid holds "
+                f"{grid.cells} cells, past the budget of {_MAX_FILE_CELLS}"
+            )
+        values = grid_eval(lambda points: _raw_mixture_pdf(weights, means, covariances, points), grid).values
         normalizer = float(values.sum() * grid.cell_volume)
     else:
         normalizer = 1.0

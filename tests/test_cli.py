@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -630,11 +631,29 @@ class TestFitRefusesWhatEvalCannotRead:
     @pytest.mark.parametrize(
         "flags, message", [([], "cannot normalize"), (["--no-normalize"], "non-finite")], ids=["normalized", "raw"]
     )
-    def test_non_finite_coefficients_exit_3_and_write_nothing(self, uniform_csv, tmp_path, capsys, flags, message):
-        # at level -1 the threshold inf * sqrt(0) is NaN, and so is every detail there
-        assert self.fit(uniform_csv, tmp_path, "--j0", "-1", "--J", "0", "--threshold", "inf", *flags) == 3
+    def test_non_finite_coefficients_exit_3_and_write_nothing(
+        self, uniform_csv, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        real_threshold = estimator.soft_threshold
+
+        def nan_threshold(coeffs, constant):
+            coeffs = real_threshold(coeffs, constant)
+            blocks = {key: (zmin, dense * np.nan) for key, (zmin, dense) in coeffs.blocks.items()}
+            return dataclasses.replace(coeffs, blocks=blocks)
+
+        monkeypatch.setattr(estimator, "soft_threshold", nan_threshold)
+        assert self.fit(uniform_csv, tmp_path, "--J", "0", "--threshold", "1.0", *flags) == 3
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [uniform_csv]
+
+    @pytest.mark.parametrize("flags", [[], ["--no-normalize"]], ids=["normalized", "raw"])
+    def test_an_infinite_threshold_keeps_the_level_minus_one_details(self, uniform_csv, tmp_path, flags):
+        assert self.fit(uniform_csv, tmp_path, "--j0", "-1", "--J", "0", "--threshold", "inf", *flags) == 0
+        entries = json.loads((tmp_path / "m.json").read_text())["entries"]
+        assert {item["j"] for item in entries if item["q"]} == {-1}
+        out = tmp_path / "f.csv"
+        assert main(["eval", str(tmp_path / "m.json"), "--grid", "8", "-o", str(out)]) == 0
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=2)).all()
 
     def test_an_infinite_threshold_keeps_the_trend_alone(self, uniform_csv, tmp_path):
         assert self.fit(uniform_csv, tmp_path, "--J", "1", "--threshold", "inf") == 0

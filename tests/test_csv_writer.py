@@ -33,6 +33,11 @@ def awkward_columns(rng, rows, count):
     return [rng.choice(pool, size=rows) for _ in range(count)]
 
 
+def column_slices(columns):
+    """The writer's ``columns(start, stop)`` for whole arrays."""
+    return lambda start, stop: [col[start:stop] for col in columns]
+
+
 def cli_bytes(write, target, tmp_path, capsys):
     """The bytes that ``write(path)`` puts in a file, or on stdout."""
     if target == "file":
@@ -59,7 +64,8 @@ def test_field_rows_match_the_row_loop(rows, d, target, tmp_path, capsys):
     values = awkward_columns(rng, rows, 2)
     head = ["# wavedens test; model=m.json", "x1,g,f"]
     got = cli_bytes(
-        lambda path: cli._write_csv(path, head, [*centers.T, *values]), target, tmp_path, capsys
+        lambda path: cli._write_csv(path, head, rows, column_slices([*centers.T, *values])),
+        target, tmp_path, capsys,
     )
     assert got == oracle_bytes(lambda h: oracle.field_csv(h, centers, values, head[1], head[0]))
 
@@ -71,7 +77,7 @@ def test_integer_index_column_matches_the_row_loop(rows, target, tmp_path, capsy
     radii, volumes = awkward_columns(rng, rows, 2)
     head = ["# wavedens test; k=3", "index,radius,volume"]
     got = cli_bytes(
-        lambda path: cli._write_csv(path, head, [np.arange(rows), radii, volumes]),
+        lambda path: cli._write_csv(path, head, rows, column_slices([np.arange(rows), radii, volumes])),
         target, tmp_path, capsys,
     )
     assert got == oracle_bytes(lambda h: oracle.knn_audit(h, radii, volumes, head[0]))

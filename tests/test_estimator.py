@@ -216,6 +216,19 @@ class TestSoftThreshold:
         with pytest.raises(ValueError, match="threshold constant must be >= 0, got nan"):
             soft_threshold(make_set({}), math.nan)
 
+    @pytest.mark.parametrize("constant", [1.0, math.inf])
+    def test_level_minus_one_details_are_kept(self, constant):
+        # t_{-1} = C sqrt(0) / sqrt(n) is 0 for every finite C; inf * 0 would be NaN
+        rng = np.random.default_rng(33)
+        raw = estimate_coefficients(rng.random((60, 2)), EstimatorConfig(wavelet_order=2, j0=-1, J=0))
+        out = soft_threshold(raw, constant)
+        assert all(np.isfinite(dense).all() for _, dense in out.blocks.values())
+        assert {(j, q) for j, q in raw.blocks if q and j == -1} == {(-1, 1), (-1, 2), (-1, 3)}
+        level = {key: val for key, val in raw.entries.items() if key.level == -1}
+        assert {key: val for key, val in out.entries.items() if key.level == -1} == level
+        # every level-0 detail goes at C = inf
+        assert constant < math.inf or all(q == 0 for j, q in out.blocks if j == 0)
+
     def test_level_below_minus_one_rejected(self):
         cs = make_set({BasisIndex(-2, (0,), 1): 0.5}, j0=-2, J=-2, n=25)
         with pytest.raises(ValueError, match="detail level j=-2"):

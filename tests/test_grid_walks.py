@@ -1,0 +1,158 @@
+"""Grids are walked a chunk of cells at a time, with every value kept.
+
+``GridSpec.cell_centers(start, stop)`` gives the centers of a range of cells;
+``grid_eval`` on a callable, the normalizer quadrature and ``eval`` walk a
+grid through it, so none of them holds the (R^d, d) array of every center.
+The whole-grid forms are kept in ``grid_oracle`` and ``csv_oracle``.
+"""
+
+import io
+import math
+
+import numpy as np
+import pytest
+
+import csv_oracle
+import grid_oracle
+from heap import traced_peak
+from wavedens import __version__, estimator, simulation
+from wavedens.cli import main
+from wavedens.errors import BudgetError
+from wavedens.estimator import AffineMap, EstimatorConfig, fit_model, model_from_file, row_chunks
+from wavedens.metrics import GridSpec, grid_eval, point_chunks
+
+REGISTRY = ["anisotropic-pair", "similar-pair", "comb4"]
+
+
+class TestCellRanges:
+    @pytest.mark.parametrize(
+        "box, resolution",
+        [([[0.0, 1.0]], 7), ([[0.0, 2.0], [-1.0, 0.5]], 5), ([[0.0, 1.0], [0.1, 0.2], [3.0, 7.0]], 4), ([[0.0, 1.0]] * 4, 3)],
+    )
+    def test_every_range_is_a_slice_of_the_whole(self, box, resolution):
+        grid = GridSpec.from_box(box, resolution)
+        whole = grid.cell_centers()
+        for start in range(grid.cells + 1):
+            for stop in range(start, grid.cells + 1):
+                np.testing.assert_array_equal(grid.cell_centers(start, stop), whole[start:stop])
+
+    def test_a_range_holds_only_its_rows(self):
+        # a 2^20-cell grid: 16 MiB of centers in all, 64 KiB for this range,
+        # and the coordinates of one axis as scratch
+        grid = GridSpec.unit(2, 1024)
+        centers, peak = traced_peak(lambda: grid.cell_centers(1000, 5096))
+        assert centers.shape == (4096, 2)
+        assert peak <= centers.nbytes + 4 * 8 * grid.resolution
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 50])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 100])
+    def test_chunks_cover_without_a_lone_last_row(self, n, rows):
+        chunks = list(row_chunks(n, rows))
+        assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+        assert chunks[-1][1] == n
+        sizes = [stop - start for start, stop in chunks]
+        assert max(sizes) <= rows + 1
+        if rows > 1 and n > 1:
+            assert min(sizes) >= 2
+
+    def test_point_chunks_hold_a_sixteenth_of_the_budget(self):
+        start, stop = next(point_chunks(10**6, 2))
+        assert (stop - start) * 8 * 2 == estimator._CHUNK_BYTES // 16
+
+    def test_a_row_does_not_depend_on_its_batch(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        model = fit_model(rng.random((300, 2)), EstimatorConfig(wavelet_order=6, j0=0, J=2, k=1))
+        pts = rng.random((50, 2))
+        whole = model.reconstruct(pts)
+        # 7 rows a chunk for the widest block, so inputs of 7m + 1 rows end in
+        # one more; a lone row went through numpy's single-row kernel, which
+        # rounds differently
+        widest = max(
+            sum(s) + 4 * max(s) + sum(math.prod(s[a:]) for a in range(1, len(s) + 1))
+            for s in (dense.shape for _, dense in model.coefficients.blocks.values())
+        )
+        monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * widest * 7)
+        for n in range(8, 51, 7):
+            np.testing.assert_array_equal(model.reconstruct(pts[:n]), whole[:n])
+        for size in (2, 3, 16):
+            pieces = [model.reconstruct(pts[start:stop]) for start, stop in row_chunks(50, size)]
+            np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("name", REGISTRY)
+    def test_normalizer_is_the_whole_grid_sum(self, name):
+        spec = simulation.get_density(name)
+        assert spec.normalizer == grid_oracle.normalizer(spec)
+
+    @pytest.mark.parametrize("name", REGISTRY + ["uniform"])
+    def test_truth_field_is_the_whole_grid_field(self, name):
+        spec = simulation.get_density(name)
+        grid = GridSpec.unit(2, 128)
+        field = simulation.true_density_field(spec, grid)
+        np.testing.assert_array_equal(field.values, grid_oracle.true_density_values(spec, grid))
+
+    def test_callable_sees_one_chunk_at_a_time(self):
+        grid = GridSpec.unit(2, 128)
+        sizes = []
+        field = grid_eval(lambda pts: sizes.append(len(pts)) or pts.sum(axis=1), grid)
+        assert sizes == [stop - start for start, stop in point_chunks(grid.cells, 2)]
+        assert len(sizes) > 1
+        np.testing.assert_array_equal(field.values.ravel(), grid.cell_centers().sum(axis=1))
+
+    def test_registry_density_holds_its_quadrature_values(self):
+        # the 1024^2 values take 8 MiB; every center at once took 88 MiB
+        spec, peak = traced_peak(lambda: simulation.get_density.__wrapped__("comb4"))
+        assert spec.normalizer == simulation.get_density("comb4").normalizer
+        assert peak <= 12 * 2**20
+
+    def test_a_3d_quadrature_past_the_budget_is_refused_before_it_allocates(self):
+        def make():
+            with pytest.raises(BudgetError, match="1024\\^3 quadrature grid holds 1073741824 cells"):
+                simulation.make_mixture("cube", [1.0], [[0.5] * 3], [np.eye(3) * 0.01], [[0.0, 1.0]] * 3)
+
+        _, peak = traced_peak(make)
+        assert peak < 2**20
+
+
+@pytest.fixture()
+def rescaled_model(tmp_path):
+    rng = np.random.default_rng(20240901)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in (rng.beta(2, 3, (700, 2)) * 4.0 - 1.0).tolist()))
+    model = tmp_path / "m.json"
+    assert main(["fit", str(pts), "-o", str(model), "--wavelet", "db2", "--J", "1", "--rescale", "--pad", "0.1"]) == 0
+    return model, pts
+
+
+class TestEvalWalk:
+    @pytest.mark.parametrize("source", ["grid", "points"])
+    def test_data_coords_bytes(self, rescaled_model, tmp_path, source):
+        model_json, pts_csv = rescaled_model
+        out = tmp_path / "out.csv"
+        args = ["--grid", "70"] if source == "grid" else [str(pts_csv)]
+        assert main(["eval", str(model_json), *args, "--data-coords", "-o", str(out)]) == 0
+        model, extras = model_from_file(model_json)
+        affine = AffineMap(**{key: np.asarray(val) for key, val in extras["affine"].items()})
+        if source == "grid":
+            pts = GridSpec.from_box(extras["domain"], 70).cell_centers()
+        else:
+            pts = np.loadtxt(pts_csv, delimiter=",", skiprows=1)
+        g = model.reconstruct(affine.forward(pts))
+        handle = io.StringIO()
+        csv_oracle.field_csv(
+            handle, pts, [g, model._density_from(g) * affine.jacobian], "x1,x2,g,f",
+            f"# wavedens {__version__} eval; model={model_json}",
+        )
+        assert out.read_bytes() == handle.getvalue().encode("utf-8")
+
+    def test_grid_eval_holds_g_alone(self, rescaled_model, tmp_path):
+        # the centers, g and f of every cell took about 4 * 8 R^2 bytes
+        model_json, _ = rescaled_model
+        resolution = 512
+        out = tmp_path / "grid.csv"
+        code, peak = traced_peak(lambda: main(["eval", str(model_json), "--grid", str(resolution), "-o", str(out)]))
+        assert code == 0
+        assert peak <= 8 * resolution**2 + 2 * estimator._CHUNK_BYTES
