@@ -18,9 +18,8 @@ import numpy as np
 
 from . import __version__
 from .classical import fit_classical, rescale_classical
-from .errors import BudgetError, DataError, DegenerateModelError, KConsistencyWarning, WavedensError
+from .errors import DataError, DegenerateModelError, KConsistencyWarning, WavedensError
 from .estimator import (
-    _MAX_FILE_CELLS,
     EstimatorConfig,
     fit_model,
     model_from_file,
@@ -38,7 +37,7 @@ from .simulation import (
     run_benchmark,
     software_versions,
 )
-from .wavelets import build_family, cached_family
+from .wavelets import MAX_ORDER, build_family, cached_family
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -59,9 +58,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_wavelet(text: str) -> int:
     raw = text.lower().removeprefix("db")
     try:
-        return int(raw)
+        order = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse wavelet order from {text!r}")
+    if not 1 <= order <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"wavelet order {order} outside 1..{MAX_ORDER}")
+    return order
 
 
 def _positive_int(text: str) -> int:
@@ -122,16 +124,6 @@ def _provenance(args, seed=None) -> dict:
     return {**software_versions(), "flags": flags, "seed": seed}
 
 
-def _grid_spec(d: int, resolution: int, box=None) -> GridSpec:
-    """The ``resolution``^d cell-centre grid on ``box`` (default the unit
-    cube).  Raises BudgetError, before anything is allocated, when the grid
-    would hold more than ``_MAX_FILE_CELLS`` cells."""
-    cells = resolution**d
-    if cells > _MAX_FILE_CELLS:
-        raise BudgetError(f"a {resolution}^{d} grid holds {cells} cells, past the budget of {_MAX_FILE_CELLS}")
-    return GridSpec.unit(d, resolution) if box is None else GridSpec.from_box(box, resolution)
-
-
 def _write_csv(path, head_lines, rows, columns):
     """Write ``head_lines``, then ``rows`` rows to ``path``, or to stdout
     (left open) when no path is given.  ``columns(start, stop)`` gives the
@@ -168,7 +160,7 @@ def cmd_fit(args) -> int:
     # made before the fit, so that a grid past the budget writes no file
     grid = None
     if args.grid is not None or rescale_on_grid:
-        grid = _grid_spec(points.shape[1], 128 if args.grid is None else args.grid)
+        grid = GridSpec.unit(points.shape[1], 128 if args.grid is None else args.grid)
     config = EstimatorConfig(
         wavelet_order=args.wavelet,
         j0=args.j0,
@@ -219,21 +211,20 @@ def cmd_eval(args) -> int:
             scale=np.asarray(aff["scale"], dtype=float),
             offset=np.asarray(aff["offset"], dtype=float),
         )
+    forward = (lambda x: x) if affine is None else affine.forward
     # coords(start, stop) gives the rows [start, stop) of the points, or the
-    # centers of those grid cells: a grid is walked a chunk at a time and
-    # only g is held for all of it
+    # centers of those grid cells; g is held for every row, a grid's centers
+    # only a chunk at a time
     if args.points is not None:
         pts = read_points_csv(args.points, model.d)
         rows, coords = len(pts), lambda start, stop: pts[start:stop]
+        g_vals = model.reconstruct(forward(pts))
     elif args.grid is not None:
-        grid = _grid_spec(model.d, args.grid, extras.get("domain"))
+        grid = GridSpec.from_box(extras.get("domain", [[0.0, 1.0]] * model.d), args.grid)
         rows, coords = grid.cells, grid.cell_centers
+        g_vals = grid_eval(lambda x: model.reconstruct(forward(x)), grid).values.ravel()
     else:
         raise DataError("need a points CSV or --grid R")
-    g_vals = np.empty(rows)
-    for start, stop in point_chunks(rows, model.d):
-        x = coords(start, stop)
-        g_vals[start:stop] = model.reconstruct(x if affine is None else affine.forward(x))
 
     def f_vals(start, stop):
         f = model._density_from(g_vals[start:stop])

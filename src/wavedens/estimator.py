@@ -53,8 +53,8 @@ SCHEMA_VERSION = 1
 _CHUNK_BYTES = 1 << 20
 
 # cells that the bounding boxes of a coefficient file's blocks may span in
-# all, and that a CLI grid may hold (8 bytes each); a larger file or grid is
-# rejected before any allocation
+# all, and that a grid (``metrics.GridSpec``) may hold (8 bytes each); a
+# larger file or grid is rejected before any allocation
 _MAX_FILE_CELLS = 1 << 24
 
 
@@ -613,7 +613,9 @@ class DensityModel:
                 c0, c1 = (min(max(c, 0), columns.shape[1]) for c in (lo, lo + dense.shape[a]))
                 factor[:, c0 - lo : c1 - lo] = columns[:, c0:c1]
                 tensor = np.tensordot(tensor, factor, axes=([0], [1]))
-            out += 2.0 ** (d * j / 2.0) * tensor
+            # scaled in place: the same product as a scaled copy, one field less
+            tensor *= 2.0 ** (d * j / 2.0)
+            out += tensor
         return out
 
     def _density_from(self, rec: np.ndarray) -> np.ndarray:
@@ -626,7 +628,11 @@ class DensityModel:
         return self._density_from(self.reconstruct(points))
 
     def density_on_axes(self, axes: list[np.ndarray]) -> np.ndarray:
-        return self._density_from(self.reconstruct_on_axes(axes))
+        rec = self.reconstruct_on_axes(axes)
+        # squared in place (_density_from would hold a second field)
+        if self.coefficients.kind != "classical":
+            rec *= rec
+        return rec
 
 
 def reconstruct_g(model: DensityModel, x) -> float:

@@ -8,11 +8,13 @@ values over Monte-Carlo replications.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _CHUNK_BYTES, DensityModel, row_chunks
+from .errors import BudgetError
+from .estimator import _CHUNK_BYTES, _MAX_FILE_CELLS, DensityModel, row_chunks
 
 
 @dataclass(frozen=True)
@@ -20,18 +22,26 @@ class GridSpec:
     """Regular cell-center grid on an axis-aligned box.
 
     ``box`` is a (d, 2) array of (low, high) pairs; ``resolution`` is the
-    number of cells per axis.
+    number of cells per axis.  A box side must be an interval lo < hi of
+    finite length.  A grid of more than ``_MAX_FILE_CELLS`` cells raises
+    BudgetError, before anything is allocated.
     """
 
     box: tuple[tuple[float, float], ...]
     resolution: int
 
     def __post_init__(self):
+        if not isinstance(self.resolution, numbers.Integral):
+            raise ValueError(f"grid resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 2:
             raise ValueError("grid resolution must be >= 2")
         for lo, hi in self.box:
-            if hi <= lo:
-                raise ValueError("grid box has a non-positive side")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(f"grid box side [{lo}, {hi}] is not a finite interval")
+        if self.cells > _MAX_FILE_CELLS:
+            raise BudgetError(
+                f"a {self.resolution}^{self.d} grid holds {self.cells} cells, past the budget of {_MAX_FILE_CELLS}"
+            )
 
     @classmethod
     def unit(cls, d: int, resolution: int) -> "GridSpec":
@@ -48,7 +58,7 @@ class GridSpec:
 
     @property
     def cells(self) -> int:
-        return self.resolution**self.d
+        return int(self.resolution) ** self.d
 
     @property
     def cell_volume(self) -> float:

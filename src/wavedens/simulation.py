@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -30,9 +31,8 @@ from scipy.special import gammaln
 
 from . import __version__
 from .classical import classical_coefficients
-from .errors import BudgetError, ConfigurationError, DataError, EstimationError, KConsistencyWarning
+from .errors import ConfigurationError, DataError, EstimationError, KConsistencyWarning
 from .estimator import (
-    _MAX_FILE_CELLS,
     DensityModel,
     EstimatorConfig,
     estimate_coefficient_sets,
@@ -95,9 +95,8 @@ def _box_volume(domain: np.ndarray) -> float:
 
 def make_mixture(name, weights, means, covariances, domain) -> MixtureSpec:
     """Build a truncated-mixture spec, computing its normalizer by grid
-    quadrature at resolution 1024 per axis.  Raises BudgetError, before the
-    quadrature allocates, when that grid holds more than ``_MAX_FILE_CELLS``
-    cells (d >= 3)."""
+    quadrature at resolution 1024 per axis.  Its GridSpec raises
+    BudgetError, before the quadrature allocates, at d >= 3."""
     weights = np.asarray(weights, dtype=float)
     means = np.asarray(means, dtype=float)
     covariances = np.asarray(covariances, dtype=float)
@@ -109,13 +108,7 @@ def make_mixture(name, weights, means, covariances, domain) -> MixtureSpec:
             if not np.allclose(cov, cov.T) or np.linalg.eigvalsh(cov).min() <= 0:
                 raise ConfigurationError("covariances must be symmetric positive definite")
         grid = GridSpec.from_box(domain, _NORMALIZER_RESOLUTION)
-        if grid.cells > _MAX_FILE_CELLS:
-            raise BudgetError(
-                f"the normalizer's {_NORMALIZER_RESOLUTION}^{grid.d} quadrature grid holds "
-                f"{grid.cells} cells, past the budget of {_MAX_FILE_CELLS}"
-            )
-        values = grid_eval(lambda points: _raw_mixture_pdf(weights, means, covariances, points), grid).values
-        normalizer = float(values.sum() * grid.cell_volume)
+        normalizer = mass(grid_eval(lambda points: _raw_mixture_pdf(weights, means, covariances, points), grid))
     else:
         normalizer = 1.0
     if normalizer <= 0:
@@ -260,11 +253,22 @@ class BenchmarkConfig:
     estimators: tuple[str, ...] = (SHAPE_PRESERVING, CLASSICAL)
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        for group in (self.densities, self.sample_sizes, self.J_values, self.k_values, self.estimators):
+        for name in ("densities", "sample_sizes", "J_values", "k_values", "estimators"):
+            group = getattr(self, name)
+            if not isinstance(group, (tuple, list)):
+                raise ValueError(f"{name} must be a list, got {group!r}")
             if len(group) == 0:
                 raise ValueError("all sweep axes must be non-empty")
+        for name in (
+            "sample_sizes", "J_values", "k_values", "replications", "wavelet_order", "j0", "grid_resolution", "seed"
+        ):
+            value = getattr(self, name)
+            for item in value if isinstance(value, (tuple, list)) else [value]:
+                # bool is an Integral, but true is no count
+                if not isinstance(item, numbers.Integral) or isinstance(item, bool):
+                    raise ValueError(f"{name} must hold integers, got {item!r}")
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
         for est in self.estimators:
             if est not in (SHAPE_PRESERVING, CLASSICAL):
                 raise ValueError(f"unknown estimator {est!r}")

@@ -9,7 +9,7 @@ import pytest
 import scipy
 
 from heap import traced_peak
-from wavedens import cli, estimator
+from wavedens import cli, estimator, metrics
 from wavedens.cli import main, read_points_csv
 from wavedens.errors import DataError, KConsistencyWarning
 from wavedens.estimator import (
@@ -194,6 +194,14 @@ class TestFit:
         with pytest.raises(SystemExit) as info:
             main(["fit", "pts.csv", "-o", "m.json"])  # --J missing
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("order", ["db0", "db11"])
+    def test_wavelet_order_out_of_range_is_a_usage_error(self, tmp_path, capsys, order):
+        # refused at parse time, before the (missing) points file is read
+        with pytest.raises(SystemExit) as info:
+            main(["fit", str(tmp_path / "missing.csv"), "-o", str(tmp_path / "m.json"), "--J", "0", "--wavelet", order])
+        assert info.value.code == 1
+        assert f"wavelet order {order[2:]} outside 1..10" in capsys.readouterr().err
 
     def test_classical_estimator_kind(self, uniform_csv, tmp_path):
         out = tmp_path / "c.json"
@@ -446,7 +454,7 @@ def test_grid_below_two_cells_exits_2_and_writes_nothing(uniform_csv, tmp_path, 
 class TestGridBudget:
     @pytest.fixture(autouse=True)
     def small_budget(self, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_FILE_CELLS", 100)
+        monkeypatch.setattr(metrics, "_MAX_FILE_CELLS", 100)
 
     def test_eval_grid_past_the_budget_exits_3_and_writes_nothing(self, uniform_csv, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -519,6 +527,21 @@ class TestBench:
         cpath = tmp_path / "config.json"
         cpath.write_text('{"bogus": true}')
         assert main(["bench", str(cpath), "-o", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("replications", 1.5), ("sample_sizes", [32.0]), ("densities", "uniform"), ("grid_resolution", 16.5)],
+    )
+    def test_non_integer_or_bare_string_config_exits_2(self, tmp_path, capsys, field, value):
+        config = {
+            "densities": ["uniform"], "sample_sizes": [32], "replications": 1, "J_values": [0],
+            "k_values": [1], "wavelet_order": 1, "grid_resolution": 16, field: value,
+        }
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["bench", str(cpath), "-o", str(tmp_path / "r.json")]) == 2
+        assert field in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cpath]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_are_a_usage_error(self, tmp_path, threads):

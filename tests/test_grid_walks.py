@@ -110,7 +110,7 @@ class TestQuadrature:
 
     def test_a_3d_quadrature_past_the_budget_is_refused_before_it_allocates(self):
         def make():
-            with pytest.raises(BudgetError, match="1024\\^3 quadrature grid holds 1073741824 cells"):
+            with pytest.raises(BudgetError, match="a 1024\\^3 grid holds 1073741824 cells, past the budget of 16777216"):
                 simulation.make_mixture("cube", [1.0], [[0.5] * 3], [np.eye(3) * 0.01], [[0.0, 1.0]] * 3)
 
         _, peak = traced_peak(make)
@@ -156,3 +156,15 @@ class TestEvalWalk:
         code, peak = traced_peak(lambda: main(["eval", str(model_json), "--grid", str(resolution), "-o", str(out)]))
         assert code == 0
         assert peak <= 8 * resolution**2 + 2 * estimator._CHUNK_BYTES
+
+    def test_fit_grid_builds_the_field_in_place(self, tmp_path):
+        # the field and one block's contracted tensor; a scaled copy of the
+        # tensor and an unsquared copy of the field came on top at 6.8 MiB
+        rng = np.random.default_rng(20240901)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rng.beta(2, 3, (700, 2)).tolist()))
+        resolution = 512
+        args = ["fit", str(pts), "-o", str(tmp_path / "m.json"), "--wavelet", "db6", "--J", "3", "--grid", str(resolution)]
+        code, peak = traced_peak(lambda: main(args))
+        assert code == 0
+        assert peak <= 2 * 8 * resolution**2 + 2 * estimator._CHUNK_BYTES

@@ -5,6 +5,7 @@ import pytest
 
 import dict_oracle as oracle
 from heap import traced_peak
+from wavedens.errors import BudgetError
 from wavedens.estimator import DensityModel, EstimatorConfig, fit_model
 from wavedens.metrics import Field, GridSpec, grid_eval, ise, mass, mise_aggregate, negative_mass
 from wavedens.wavelets import BasisIndex
@@ -44,6 +45,41 @@ class TestGridSpec:
             GridSpec.unit(2, 1)
         with pytest.raises(ValueError):
             GridSpec.from_box([[1.0, 0.0]], 4)
+
+    @pytest.mark.parametrize(
+        "box, resolution",
+        [
+            ([[0.0, math.nan], [0.0, 1.0]], 4),
+            ([[math.nan, 1.0]], 4),
+            ([[0.0, math.inf], [0.0, 1.0]], 4),
+            ([[-math.inf, 0.0]], 4),
+            ([[-1e308, 1e308]], 4),
+            ([[0.5, 0.5]], 4),
+            ([[0.0, 1.0], [0.0, 1.0]], 16.5),
+            ([[0.0, 1.0]], 8.0),
+            ([[0.0, 1.0]], "8"),
+        ],
+        ids=["nan-high", "nan-low", "inf-high", "inf-low", "infinite-length", "empty", "fraction", "float", "text"],
+    )
+    def test_a_grid_it_cannot_walk_is_refused(self, box, resolution):
+        with pytest.raises(ValueError):
+            GridSpec.from_box(box, resolution)
+
+    def test_numpy_integer_resolution_is_valid(self):
+        assert GridSpec.unit(3, np.int32(256)).cells == 256**3
+
+    def test_a_grid_past_the_budget_is_refused_before_it_allocates(self):
+        assert GridSpec.unit(2, 4096).cells == 2**24
+
+        def make():
+            with pytest.raises(BudgetError, match="a 4097\\^2 grid holds 16785409 cells, past the budget of 16777216"):
+                grid_eval(lambda pts: pts[:, 0], GridSpec.unit(2, 4097))
+
+        _, peak = traced_peak(make)
+        assert peak < 2**20
+        # counted in Python integers: 2^64 cells wrap to 0 in int64
+        with pytest.raises(BudgetError, match="holds 18446744073709551616 cells"):
+            GridSpec.unit(2, np.int64(2**32))
 
 
 class TestGridEval:

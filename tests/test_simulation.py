@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 import scipy
 
+from heap import traced_peak
 from wavedens import simulation
-from wavedens.errors import ConfigurationError, DataError, KConsistencyWarning
+from wavedens.errors import BudgetError, ConfigurationError, DataError, KConsistencyWarning
 from wavedens.metrics import GridSpec, mass
 from wavedens.simulation import (
     BenchmarkConfig,
@@ -351,3 +352,41 @@ class TestBenchmark:
             BenchmarkConfig(replications=0)
         with pytest.raises(ValueError):
             BenchmarkConfig(estimators=("other",))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replications", 1.5),
+            ("replications", True),
+            ("sample_sizes", (32.0,)),
+            ("J_values", (0.5,)),
+            ("k_values", (1, "2")),
+            ("grid_resolution", 16.5),
+            ("densities", "uniform"),
+            ("estimators", "classical"),
+        ],
+    )
+    def test_config_rejects_non_integers_and_bare_strings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BenchmarkConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        config = BenchmarkConfig(
+            sample_sizes=(np.int32(32),), replications=np.int64(2), J_values=(np.int64(-1),),
+            k_values=(np.int16(1),), grid_resolution=np.int64(16), seed=np.uint32(3),
+        )
+        assert config.replications == 2
+
+    def test_a_truth_grid_past_the_budget_is_refused_before_it_allocates(self):
+        config = BenchmarkConfig(
+            densities=("uniform",), sample_sizes=(32,), replications=1, J_values=(0,), k_values=(1,),
+            grid_resolution=4097,
+        )
+        run_benchmark(dataclasses.replace(config, grid_resolution=4))
+
+        def run():
+            with pytest.raises(BudgetError, match="a 4097\\^2 grid holds 16785409 cells"):
+                run_benchmark(config)
+
+        _, peak = traced_peak(run)
+        assert peak < 2**20
