@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import warnings
 from itertools import chain
@@ -64,6 +65,16 @@ def _parse_wavelet(text: str) -> int:
     if not 1 <= order <= MAX_ORDER:
         raise argparse.ArgumentTypeError(f"wavelet order {order} outside 1..{MAX_ORDER}")
     return order
+
+
+def _parse_pad(text: str) -> float:
+    try:
+        pad = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse padding from {text!r}")
+    if not 0.0 <= pad < math.inf:
+        raise argparse.ArgumentTypeError(f"padding must be a finite number >= 0, got {text!r}")
+    return pad
 
 
 def _positive_int(text: str) -> int:
@@ -435,7 +446,7 @@ def build_parser() -> _Parser:
     fit.add_argument("--threshold", type=float, default=None, metavar="C")
     fit.add_argument("--no-normalize", action="store_true")
     fit.add_argument("--rescale", action="store_true", help="map the data box to the unit cube")
-    fit.add_argument("--pad", type=float, default=0.0, help="padding fraction for --rescale")
+    fit.add_argument("--pad", type=_parse_pad, default=0.0, help="padding fraction for --rescale")
     fit.add_argument("--dim", type=int, default=None, help="number of columns when there is no header")
     fit.add_argument("--grid", type=int, default=None, metavar="R", help="also write an R^d density grid")
     fit.add_argument("--grid-output", default=None)

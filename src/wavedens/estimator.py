@@ -469,8 +469,12 @@ def rescale_to_domain(points, padding: float = 0.0):
     """Affinely map the data's (padded) bounding box onto the unit cube.
 
     Returns the transformed points and the affine record needed to undo the
-    map or to back-transform densities with the Jacobian correction.
+    map or to back-transform densities with the Jacobian correction.  A
+    mapped coordinate that rounds past 0 or 1 is clipped onto the edge; the
+    record is not changed.
     """
+    if not 0.0 <= padding < math.inf:
+        raise ValueError(f"padding must be a finite number >= 0, got {padding!r}")
     pts = as_points(points)
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
@@ -487,7 +491,8 @@ def rescale_to_domain(points, padding: float = 0.0):
     # 0.0 - x rather than -x, so that a zero offset is +0.0
     offset = 0.0 - lo * scale
     mapping = AffineMap(scale=scale, offset=offset)
-    return mapping.forward(pts), mapping
+    mapped = mapping.forward(pts)
+    return np.clip(mapped, 0.0, 1.0, out=mapped), mapping
 
 
 def row_chunks(n: int, rows: int):

@@ -37,6 +37,7 @@ from .estimator import (
     EstimatorConfig,
     estimate_coefficient_sets,
     normalize,
+    row_chunks,
     truncate_details,
 )
 from .metrics import Field, GridSpec, grid_eval, ise, mass, mise_aggregate, negative_mass
@@ -89,6 +90,46 @@ def _raw_mixture_pdf(weights, means, covariances, points) -> np.ndarray:
     return out
 
 
+def _mixture_on_grid(weights, means, covariances, grid: GridSpec) -> np.ndarray:
+    """``_raw_mixture_pdf`` at every cell center of ``grid``, in grid shape,
+    with the same bits.
+
+    A component with a diagonal Cholesky factor is solved once, on the
+    stacked (d, R) axis offsets: the factor's zeros add exact zeros, so each
+    solved coordinate depends on its own axis alone, and ``quad`` is formed
+    by outer adds in the order of ``np.sum(..., axis=0)``.  Any other
+    component is solved cell by cell.  The grid is walked in slabs of
+    leading-axis rows of about 4 096 cells, so no solve gets a lone column.
+    """
+    r, d = grid.resolution, grid.d
+    axes = np.stack(grid.axes())
+    parts = []
+    for w, mu, cov in zip(weights, means, covariances):
+        chol = np.linalg.cholesky(cov)
+        norm = (2.0 * math.pi) ** (d / 2.0) * np.prod(np.diag(chol))
+        squares = None
+        if np.array_equal(chol, np.diag(np.diag(chol))):
+            sol = np.linalg.solve(chol, axes - mu[:, None])
+            squares = sol * sol
+        parts.append((w, mu, chol, norm, squares))
+    values = np.zeros((r,) * d)
+    run = r ** (d - 1)
+    for start, stop in row_chunks(r, max(1, 4096 // run)):
+        out, centers = values[start:stop], None
+        for w, mu, chol, norm, squares in parts:
+            if squares is None:
+                if centers is None:
+                    centers = grid.cell_centers(start * run, stop * run)
+                sol = np.linalg.solve(chol, (centers - mu).T)
+                quad = np.sum(sol * sol, axis=0).reshape(out.shape)
+            else:
+                quad = squares[0, start:stop]
+                for a in range(1, d):
+                    quad = quad[..., None] + squares[a]
+            out += w * np.exp(-0.5 * quad) / norm
+    return values
+
+
 def _box_volume(domain: np.ndarray) -> float:
     return float(np.prod(domain[:, 1] - domain[:, 0]))
 
@@ -108,7 +149,7 @@ def make_mixture(name, weights, means, covariances, domain) -> MixtureSpec:
             if not np.allclose(cov, cov.T) or np.linalg.eigvalsh(cov).min() <= 0:
                 raise ConfigurationError("covariances must be symmetric positive definite")
         grid = GridSpec.from_box(domain, _NORMALIZER_RESOLUTION)
-        normalizer = mass(grid_eval(lambda points: _raw_mixture_pdf(weights, means, covariances, points), grid))
+        normalizer = mass(Field(grid, _mixture_on_grid(weights, means, covariances, grid)))
     else:
         normalizer = 1.0
     if normalizer <= 0:
@@ -220,8 +261,17 @@ def sample_mixture(spec: MixtureSpec, n: int, rng: np.random.Generator) -> np.nd
 
 
 def true_density_field(spec: MixtureSpec, grid: GridSpec) -> Field:
-    """Truncated-mixture density at the grid's cell centers."""
-    return grid_eval(lambda points: density_pdf(spec, points), grid)
+    """Truncated-mixture density at the grid's cell centers, with the bits
+    of ``density_pdf`` there."""
+    if spec.is_uniform:
+        values = np.full((grid.resolution,) * grid.d, 1.0 / _box_volume(spec.domain))
+    else:
+        values = _mixture_on_grid(spec.weights, spec.means, spec.covariances, grid)
+        values /= spec.normalizer
+    # zero the cells outside the box, one axis at a time
+    for a, (axis, (lo, hi)) in enumerate(zip(grid.axes(), spec.domain)):
+        values[(slice(None),) * a + (~((axis >= lo) & (axis <= hi)),)] = 0.0
+    return Field(grid, values)
 
 
 def density_pdf(spec: MixtureSpec, points) -> np.ndarray:

@@ -190,6 +190,25 @@ class TestFit:
         doc = json.loads(out.read_text())
         assert "affine" in doc and len(doc["affine"]["scale"]) == 2
 
+    def test_rescale_lands_every_point_in_the_cube(self, tmp_path):
+        # the top of the second axis maps to 1.0000000000000002 before clipping
+        raw = np.random.default_rng(0).random((500, 2))
+        raw[:, 1] *= 1e6
+        pts = tmp_path / "pts.csv"
+        write_csv(pts, raw)
+        out = tmp_path / "m.json"
+        assert main(["fit", str(pts), "-o", str(out), "--wavelet", "db2", "--J", "0", "--rescale", "--pad", "0"]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("pad", ["-0.6", "nan", "inf"])
+    def test_bad_padding_is_a_usage_error(self, uniform_csv, tmp_path, capsys, pad):
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as info:
+            main(["fit", str(uniform_csv), "-o", str(out), "--J", "0", "--rescale", "--pad", pad])
+        assert info.value.code == 1
+        assert f"padding must be a finite number >= 0, got '{pad}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["fit", "pts.csv", "-o", "m.json"])  # --J missing

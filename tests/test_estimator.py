@@ -660,6 +660,22 @@ class TestRescaleToDomain:
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         np.testing.assert_allclose(mapping.inverse(out), pts, atol=1e-12)
 
+    def test_an_edge_that_rounds_past_one_is_clipped(self):
+        pts = np.random.default_rng(0).random((500, 2))
+        pts[:, 1] *= 1e6
+        out, mapping = rescale_to_domain(pts)
+        # the affine record keeps its bits; only a point past an edge moves
+        raw = pts * mapping.scale + mapping.offset
+        assert raw.max() > 1.0
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        np.testing.assert_array_equal(out, np.clip(raw, 0.0, 1.0))
+        np.testing.assert_array_equal(mapping.scale, 1.0 / (pts.max(axis=0) - pts.min(axis=0)))
+
+    @pytest.mark.parametrize("padding", [-0.6, float("nan"), float("inf")])
+    def test_padding_must_be_finite_and_nonnegative(self, padding):
+        with pytest.raises(ValueError, match="padding must be a finite number >= 0"):
+            rescale_to_domain(np.array([[0.0], [1.0]]), padding=padding)
+
     def test_back_transformed_density_integrates_to_one(self):
         rng = np.random.default_rng(14)
         raw = rng.normal(50.0, 12.0, size=(400, 2))

@@ -1,8 +1,9 @@
 """Grids are walked a chunk of cells at a time, with every value kept.
 
 ``GridSpec.cell_centers(start, stop)`` gives the centers of a range of cells;
-``grid_eval`` on a callable, the normalizer quadrature and ``eval`` walk a
-grid through it, so none of them holds the (R^d, d) array of every center.
+``grid_eval`` on a callable and ``eval`` walk a grid through it, and the
+mixture normalizer and truth fields walk it in slabs of rows, so none of them
+holds the (R^d, d) array of every center.
 The whole-grid forms are kept in ``grid_oracle`` and ``csv_oracle``.
 """
 
@@ -115,6 +116,65 @@ class TestQuadrature:
 
         _, peak = traced_peak(make)
         assert peak < 2**20
+
+
+def _random_mixture(rng, box, means_beyond=False):
+    """A diagonal component, a diagonal one written with -0.0 off-diagonals
+    and a full one (|rho| up to 0.99); the means lie anywhere near the box,
+    or all beyond its upper corner."""
+    d = len(box)
+    lo, width = box[:, 0], box[:, 1] - box[:, 0]
+    covariances = []
+    for kind in ("diagonal", "negative-zero", "full"):
+        sd = width * rng.uniform(0.02, 0.5, d)
+        if kind == "full":
+            # one-factor correlation rho_ab = l_a l_b is positive definite
+            loading = rng.uniform(-0.995, 0.995, d)
+            corr = np.outer(loading, loading)
+            np.fill_diagonal(corr, 1.0)
+            covariances.append(corr * np.outer(sd, sd))
+        else:
+            cov = np.diag(sd * sd)
+            if kind == "negative-zero":
+                cov[~np.eye(d, dtype=bool)] = -0.0
+            covariances.append(cov)
+    offsets = rng.uniform(1.0, 1.5, (3, d)) if means_beyond else rng.uniform(-1.0, 2.0, (3, d))
+    return rng.dirichlet(np.ones(3)), lo + width * offsets, np.array(covariances)
+
+
+class TestMixtureOnGrid:
+    @pytest.mark.parametrize(
+        "d, resolution",
+        [(d, r) for d in (1, 2, 3) for r in (2, 3, 37, 128, 1024) if r < 1024 or d <= 2],
+    )
+    def test_matches_the_per_cell_pdf_bit_for_bit(self, d, resolution):
+        rng = np.random.default_rng(2100 + 10 * d + resolution)
+        for means_beyond in (False, True):
+            box = np.sort(rng.uniform(-3.0, 3.0, (d, 2)), axis=1)
+            weights, means, covariances = _random_mixture(rng, box, means_beyond)
+            grid = GridSpec.from_box(box, resolution)
+            values = simulation._mixture_on_grid(weights, means, covariances, grid)
+            expected = simulation._raw_mixture_pdf(weights, means, covariances, grid.cell_centers())
+            np.testing.assert_array_equal(values, expected.reshape(values.shape))
+
+    def test_a_diagonal_component_is_solved_once(self, monkeypatch):
+        comb4, pair = simulation.get_density("comb4"), simulation.get_density("anisotropic-pair")
+        solve, shapes = np.linalg.solve, []
+
+        def counting(a, b):
+            shapes.append(b.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(simulation.np.linalg, "solve", counting)
+        grid = GridSpec.unit(2, 1024)
+        simulation._mixture_on_grid(comb4.weights, comb4.means, comb4.covariances, grid)
+        assert shapes == [(2, 1024)] * 4
+        shapes.clear()
+        # anisotropic-pair: a tilted ridge, solved cell by cell, and one tight peak
+        simulation._mixture_on_grid(pair.weights, pair.means, pair.covariances, grid)
+        assert shapes[0] == (2, 1024)
+        assert sum(cols for _, cols in shapes[1:]) == grid.cells
+        assert min(cols for _, cols in shapes) >= 2
 
 
 @pytest.fixture()
