@@ -46,7 +46,6 @@ from .estimator import (
     DensityModel,
     EstimatorConfig,
     consistency_factor,
-    density_at,
     dilation_coefficients,
     estimate_coefficient_sets,
     estimate_coefficients,
@@ -55,10 +54,8 @@ from .estimator import (
     normalization_mass,
     normalize,
     read_coefficients,
-    reconstruct_g,
     rescale_to_domain,
     soft_threshold,
-    to_single_trend,
     truncate_details,
     write_coefficients,
 )

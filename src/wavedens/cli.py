@@ -38,7 +38,7 @@ from .simulation import (
     run_benchmark,
     software_versions,
 )
-from .wavelets import MAX_ORDER, build_family, cached_family
+from .wavelets import MAX_ORDER, RESOLUTIONS, build_family, cached_family
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -65,6 +65,13 @@ def _parse_wavelet(text: str) -> int:
     if not 1 <= order <= MAX_ORDER:
         raise argparse.ArgumentTypeError(f"wavelet order {order} outside 1..{MAX_ORDER}")
     return order
+
+
+def _parse_resolution(text: str) -> int:
+    resolution = int(text)
+    if resolution not in RESOLUTIONS:
+        raise argparse.ArgumentTypeError(f"resolution {resolution} outside {RESOLUTIONS[0]}..{RESOLUTIONS[-1]}")
+    return resolution
 
 
 def _parse_pad(text: str) -> float:
@@ -421,6 +428,9 @@ def cmd_wavelet_table(args) -> int:
 
 def _knn_audit(args) -> int:
     points = read_points_csv(args.points, args.dim)
+    n = points.shape[0]
+    if not 1 <= args.k <= n - 1:
+        raise DataError(f"k must satisfy 1 <= k <= n - 1, got k={args.k}, n={n}")
     stats = knn_stats(points, args.k)
     _write_csv(
         args.output,
@@ -485,7 +495,7 @@ def build_parser() -> _Parser:
 
     table = sub.add_parser("wavelet-table", help="dump (x, phi, psi) at the dyadic grid as CSV")
     table.add_argument("--wavelet", type=_parse_wavelet, default=6, metavar="dbP")
-    table.add_argument("--resolution", type=int, default=10)
+    table.add_argument("--resolution", type=_parse_resolution, default=10)
     table.add_argument("-o", "--output", default=None)
     table.set_defaults(func=cmd_wavelet_table)
 

@@ -361,62 +361,23 @@ def truncate_details(coeffs: CoefficientSet, new_J: int) -> CoefficientSet:
     return dataclasses.replace(coeffs, blocks=blocks, J=new_J, normalized=False)
 
 
-def _axis_step(zmin, block, taps, axis: int, *, synthesis: bool):
-    """One filter-bank step along one axis of a block whose entry i holds
-    translate zmin + i; returns the new (zmin, block).
-
-    Analysis gives coarse[c] = sum_t taps[t] * fine[2c + t] for every c the
-    block reaches, c in [ceil((zmin - (2p-1))/2), floor(zmax/2)]; synthesis
-    is its transpose, fine[m] = sum over 2c + t = m of taps[t] * coarse[c].
+def _axis_step(zmin, block, taps, axis: int):
+    """One analysis step along one axis of a block whose entry i holds
+    translate zmin + i; returns the new (zmin, block): coarse[c] =
+    sum_t taps[t] * fine[2c + t] for every c the block reaches, c in
+    [ceil((zmin - (2p-1))/2), floor(zmax/2)].
     """
     x = np.moveaxis(block, axis, 0)
     z = int(zmin[axis])
-    lo = 2 * z if synthesis else -((len(taps) - 1 - z) // 2)
-    m = len(x) if synthesis else (z + len(x) - 1) // 2 - lo + 1  # coarse length
+    lo = -((len(taps) - 1 - z) // 2)
+    m = (z + len(x) - 1) // 2 - lo + 1  # coarse length
     # fine translates 2 * lo + [0, 2m + 2p - 2): every 2c + t of the coarse range
     fine = np.zeros((2 * m + len(taps) - 2,) + x.shape[1:])
-    if synthesis:
-        for t, h in enumerate(taps):
-            fine[t : t + 2 * m : 2] += h * x
-        out = fine
-    else:
-        fine[z - 2 * lo : z - 2 * lo + len(x)] = x
-        out = sum(h * fine[t : t + 2 * m : 2] for t, h in enumerate(taps))
+    fine[z - 2 * lo : z - 2 * lo + len(x)] = x
+    out = sum(h * fine[t : t + 2 * m : 2] for t, h in enumerate(taps))
     zmin = zmin.copy()
     zmin[axis] = lo
     return zmin, np.moveaxis(out, 0, axis)
-
-
-def to_single_trend(coeffs: CoefficientSet) -> CoefficientSet:
-    """Synthesize the equivalent trend-only set, whose father block lies at
-    level J+1 (so its j0 is J+1); a trend-only set comes back equal.
-
-    Repeatedly applies the synthesis relation trend[j+1, m] =
-    sum_q sum_z c^q[m - 2z] coef^q[j, z] one axis at a time (bit a of q
-    selects the high-pass filter on axis a); the reconstruction is unchanged.
-    """
-    blocks = coeffs.blocks
-    filters = (coeffs.family.lowpass, coeffs.family.highpass)
-    trend = blocks.get((coeffs.j0, 0))
-    for j in range(coeffs.j0, coeffs.J + 1):
-        level = ([(0, trend)] if trend is not None else []) + [
-            (q, blocks[(j, q)]) for q in range(1, 1 << coeffs.d) if (j, q) in blocks
-        ]
-        if not level:
-            trend = None
-            continue
-        # the box of every synthesized block: 2 * zmin + [0, 2 * shape + 2p - 2)
-        fmin = np.min([2 * zmin for _, (zmin, _) in level], axis=0)
-        fmax = np.max([2 * (zmin + dense.shape) + len(filters[0]) - 2 for _, (zmin, dense) in level], axis=0)
-        fine = np.zeros(tuple(fmax - fmin))
-        for q, block in level:
-            for a in range(coeffs.d):
-                block = _axis_step(*block, filters[(q >> a) & 1], a, synthesis=True)
-            zmin, dense = block
-            fine[tuple(slice(lo, lo + s) for lo, s in zip(zmin - fmin, dense.shape))] += dense
-        trend = (fmin, fine)
-    blocks = _trimmed({(coeffs.J + 1, 0): trend} if trend is not None else {})
-    return dataclasses.replace(coeffs, blocks=blocks, j0=coeffs.J + 1)
 
 
 def dilation_coefficients(fine: CoefficientSet) -> CoefficientSet:
@@ -433,7 +394,7 @@ def dilation_coefficients(fine: CoefficientSet) -> CoefficientSet:
     parts = {0: fine.blocks[(fine.j0, 0)]} if (fine.j0, 0) in fine.blocks else {}
     for a in range(fine.d):
         parts = {
-            q | bit << a: _axis_step(*block, taps, a, synthesis=False)
+            q | bit << a: _axis_step(*block, taps, a)
             for q, block in parts.items()
             for bit, taps in enumerate((fine.family.lowpass, fine.family.highpass))
         }
@@ -617,7 +578,9 @@ class DensityModel:
                 lo = int(zmin[a]) - zlo
                 c0, c1 = (min(max(c, 0), columns.shape[1]) for c in (lo, lo + dense.shape[a]))
                 factor[:, c0 - lo : c1 - lo] = columns[:, c0:c1]
-                tensor = np.tensordot(tensor, factor, axes=([0], [1]))
+                # tensordot(tensor, factor, ([0], [1])) without its per-call
+                # reshaping: the same operands in the same layout, so the same bits
+                tensor = np.dot(tensor.reshape(len(tensor), -1).T, factor.T).reshape(*tensor.shape[1:], len(factor))
             # scaled in place: the same product as a scaled copy, one field less
             tensor *= 2.0 ** (d * j / 2.0)
             out += tensor
@@ -638,17 +601,6 @@ class DensityModel:
         if self.coefficients.kind != "classical":
             rec *= rec
         return rec
-
-
-def reconstruct_g(model: DensityModel, x) -> float:
-    """Square-root reconstruction g_hat at one point."""
-    return float(model.reconstruct(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
-def density_at(model: DensityModel, x) -> float:
-    """Density estimate at one point; never negative for the
-    shape-preserving kind."""
-    return float(model.density(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
 def _pyramid_coefficients(points, config: EstimatorConfig) -> CoefficientSet:

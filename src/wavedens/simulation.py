@@ -42,7 +42,7 @@ from .estimator import (
 )
 from .metrics import Field, GridSpec, grid_eval, ise, mass, mise_aggregate, negative_mass
 from .neighbors import knn_stats, unit_ball_volume
-from .wavelets import DEFAULT_RESOLUTION, cached_family
+from .wavelets import DEFAULT_RESOLUTION, MAX_ORDER, cached_family
 
 SHAPE_PRESERVING = "shape-preserving"
 CLASSICAL = "classical"
@@ -317,8 +317,20 @@ class BenchmarkConfig:
                 # bool is an Integral, but true is no count
                 if not isinstance(item, numbers.Integral) or isinstance(item, bool):
                     raise ValueError(f"{name} must hold integers, got {item!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        # the smallest value the sweep can run; a trend-only fit has J = j0 - 1
+        for name, low in (
+            ("sample_sizes", 1), ("J_values", self.j0 - 1), ("k_values", 1), ("replications", 1),
+            ("wavelet_order", 1), ("grid_resolution", 2), ("seed", 0),
+        ):
+            value = getattr(self, name)
+            smallest = min(value) if isinstance(value, (tuple, list)) else value
+            if smallest < low:
+                raise ValueError(f"{name} must be >= {low}, got {smallest}")
+        if self.wavelet_order > MAX_ORDER:
+            raise ValueError(f"wavelet_order {self.wavelet_order} outside 1..{MAX_ORDER}")
+        for name in self.densities:
+            if name not in DENSITY_INDEX:
+                raise ValueError(f"densities: unknown density {name!r}; known: {sorted(DENSITY_INDEX)}")
         for est in self.estimators:
             if est not in (SHAPE_PRESERVING, CLASSICAL):
                 raise ValueError(f"unknown estimator {est!r}")

@@ -30,6 +30,7 @@ from .errors import ConfigurationError
 
 MAX_ORDER = 10
 DEFAULT_RESOLUTION = 10
+RESOLUTIONS = range(4, 17)
 
 # build-time filter sanity tolerances
 _FILTER_SUM_TOL = 1e-12
@@ -141,7 +142,7 @@ def build_family(order: int, dyadic_resolution: int = DEFAULT_RESOLUTION) -> Wav
     to one; dyadic levels are then filled by exact recursion.  The mother
     table follows from the wavelet equation with the high-pass filter.
     """
-    if not 4 <= dyadic_resolution <= 16:
+    if dyadic_resolution not in RESOLUTIONS:
         raise ConfigurationError("dyadic_resolution must lie in [4, 16]")
     h = daubechies_filter(order)
     g = highpass_from_lowpass(h)

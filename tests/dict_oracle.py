@@ -8,10 +8,13 @@ representation must reproduce their entries bit for bit, in the same order.
 The scatter kernel and the per-axis factor matrices are shared with the
 package, since the representation change does not touch them.  The level
 transforms keep the d-variate tensor form, one gather or scatter over
-cells x (2p)^d with filters from the scalar oracle ``refinement_coefficients``,
-as the reference for the package's one-axis filter passes.
+cells x (2p)^d with filters from the scalar oracle ``refinement_coefficients``:
+the dilation as the reference for the package's one-axis analysis passes, and
+the synthesis (``to_single_trend``) as the tests' only source of synthesized
+sets, since the package has none.
 """
 
+import dataclasses
 import json
 import math
 
@@ -177,6 +180,13 @@ def to_single_trend(entries, d, j0, J, family):
             np.add.at(fine, lin.ravel(), (dense.ravel()[:, None] * filt[None, :]).ravel())
         trend = (fmin, fine.reshape(shape))
     return {} if trend is None else blocks_to_entries({(J + 1, 0): trend})
+
+
+def single_trend_set(coeffs):
+    """The trend-only set at level J+1 (j0 = J + 1) with the reconstruction
+    of ``coeffs``, synthesized by ``to_single_trend``."""
+    entries = to_single_trend(coeffs.entries, coeffs.d, coeffs.j0, coeffs.J, coeffs.family)
+    return dataclasses.replace(coeffs, blocks=estimator._trimmed(entries_to_blocks(entries)), j0=coeffs.J + 1)
 
 
 def dilation(entries, d, J, family):

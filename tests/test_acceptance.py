@@ -18,7 +18,6 @@ from wavedens.estimator import (
     estimate_coefficients,
     fit_model,
     normalization_mass,
-    to_single_trend,
 )
 from wavedens.metrics import GridSpec, grid_eval, negative_mass
 from wavedens.simulation import (
@@ -213,7 +212,7 @@ def test_criterion_3_dilation_identity():
             fine = estimate_coefficients(
                 pts, EstimatorConfig(wavelet_order=order, j0=3, J=2, k=1, normalize=False)
             )
-            filtered = dilation_coefficients(to_single_trend(fine))
+            filtered = dilation_coefficients(fine)
             keys = set(direct.entries) | set(filtered.entries)
             worst = max(
                 worst,

@@ -24,7 +24,6 @@ from wavedens.estimator import (
     read_coefficients,
     rescale_to_domain,
     soft_threshold,
-    to_single_trend,
     truncate_details,
     write_coefficients,
 )
@@ -98,17 +97,15 @@ def test_truncate_details(d, order, kind):
 
 @CASES
 def test_single_trend_then_dilation(d, order, kind):
-    _, cfg, cs, raw = fitted(d, order, kind)
+    _, cfg, cs, _ = fitted(d, order, kind)
     J = cfg.J
     if d == 3 and order == 6:
         # the oracle's tensor gather of the detail level peaks near 1 GiB
         J = cfg.j0 - 1
-        cs, raw = truncate_details(cs, J), oracle.truncate(raw, J)
+        cs = truncate_details(cs, J)
     family = cached_family(order, 10)
-    single = to_single_trend(cs)
-    expected = oracle.to_single_trend(raw, d, cfg.j0, J, family)
-    assert_close(single, expected)
-    assert_close(dilation_coefficients(single), oracle.dilation(expected, d, J, family))
+    single = oracle.single_trend_set(cs)
+    assert_close(dilation_coefficients(single), oracle.dilation(single.entries, d, J, family))
 
 
 @CASES
@@ -142,7 +139,7 @@ def test_writer_keeps_the_bytes_of_the_entries_writer(tmp_path, d, variant):
         "trend-only": lambda: truncate_details(raw, cfg.j0 - 1),
         "classical": lambda: raw,
         "thresholded": lambda: normalize(soft_threshold(raw, float(np.median(details)) * math.sqrt(len(pts)))),
-        "single-trend": lambda: to_single_trend(raw),
+        "single-trend": lambda: oracle.single_trend_set(raw),
         "empty": lambda: dataclasses.replace(raw, blocks={}),
     }[variant]()
     header = dict(

@@ -12,7 +12,6 @@ from wavedens.errors import DegenerateModelError, EstimationError
 from wavedens.estimator import (
     DensityModel,
     EstimatorConfig,
-    density_at,
     estimate_coefficients,
     fit_model,
 )
@@ -73,7 +72,7 @@ class TestClassicalDensity:
     def test_uniform_trend_only_is_one(self):
         rng = np.random.default_rng(2)
         model = fit_classical(rng.random((64, 2)), haar_config())
-        assert density_at(model, (0.4, 0.9)) == 1.0
+        assert model.density([[0.4, 0.9]])[0] == 1.0
 
     def test_density_matches_linear_reconstruction(self):
         model = fit_classical(witness_points(), haar_config(wavelet_order=6, J=2))
@@ -106,7 +105,7 @@ class TestRescaleClassical:
         model = DensityModel(coeffs)
         grid = GridSpec.unit(2, 32)
         rescaled = rescale_classical(model, grid)
-        assert density_at(rescaled, (0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert rescaled.density([[0.5, 0.5]])[0] == pytest.approx(1.0, abs=1e-12)
         assert mass(grid_eval(rescaled, grid)) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_mass_unchanged(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
+import dict_oracle as oracle
 from heap import traced_peak
 from wavedens import cli, estimator, metrics
 from wavedens.cli import main, read_points_csv
@@ -19,7 +20,6 @@ from wavedens.estimator import (
     fit_model,
     model_from_file,
     read_coefficients,
-    to_single_trend,
     write_coefficients,
 )
 
@@ -420,7 +420,7 @@ class TestEvalRejectsBadCoefficientFiles:
     def test_single_trend_file_accepted(self, tmp_path):
         rng = np.random.default_rng(5)
         fitted = fit_model(rng.random((64, 2)), EstimatorConfig(wavelet_order=2, j0=0, J=1, k=1))
-        single = to_single_trend(fitted.coefficients)
+        single = oracle.single_trend_set(fitted.coefficients)
         path = tmp_path / "single.json"
         write_coefficients(path, single)
         assert main(["eval", str(path), "--grid", "4", "-o", str(tmp_path / "out.csv")]) == 0
@@ -433,7 +433,7 @@ class TestEvalRejectsBadCoefficientFiles:
         # earlier versions kept j0 and J and tagged the father block at J+1
         rng = np.random.default_rng(6)
         cs = fit_model(rng.random((64, 2)), EstimatorConfig(wavelet_order=2, j0=0, J=1, k=1)).coefficients
-        single = to_single_trend(cs)
+        single = oracle.single_trend_set(cs)
         doc = {
             "schema_version": 1, "kind": "shape-preserving", "d": 2, "n": 64, "k": 1,
             "j0": 0, "J": 1, "wavelet_order": 2, "dyadic_resolution": 10,
@@ -549,7 +549,12 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("replications", 1.5), ("sample_sizes", [32.0]), ("densities", "uniform"), ("grid_resolution", 16.5)],
+        [
+            ("replications", 1.5), ("sample_sizes", [32.0]), ("densities", "uniform"), ("grid_resolution", 16.5),
+            # values the sweep cannot run
+            ("densities", ["nope"]), ("wavelet_order", 0), ("wavelet_order", 11), ("k_values", [0]),
+            ("sample_sizes", [0]), ("J_values", [-3]), ("grid_resolution", 1), ("seed", -1),
+        ],
     )
     def test_non_integer_or_bare_string_config_exits_2(self, tmp_path, capsys, field, value):
         config = {
@@ -617,6 +622,15 @@ class TestWaveletTable:
         idx = np.argmin(np.abs(rows[:, 0] - 1.0))
         assert abs(rows[idx, 1] - 1.3660254) < 1e-6
 
+    @pytest.mark.parametrize("resolution", ["3", "17"])
+    def test_resolution_outside_4_to_16_is_a_usage_error(self, tmp_path, capsys, resolution):
+        out = tmp_path / "table.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["wavelet-table", "--resolution", resolution, "-o", str(out)])
+        assert info.value.code == 1
+        assert f"resolution {resolution} outside 4..16" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestKnnAudit:
     def test_audit_csv(self, tmp_path):
@@ -630,6 +644,15 @@ class TestKnnAudit:
 
     def test_knn_requires_points(self):
         assert main(["check", "knn"]) == 1
+
+    @pytest.mark.parametrize("k", ["0", "3", "5"])
+    def test_k_outside_1_to_n_minus_1_exits_2(self, tmp_path, capsys, k):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0\n1.0\n3.0\n")
+        out = tmp_path / "knn.csv"
+        assert main(["check", "knn", str(pts), "--k", k, "-o", str(out)]) == 2
+        assert f"got k={k}, n=3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

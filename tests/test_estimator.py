@@ -13,7 +13,6 @@ from wavedens.estimator import (
     DensityModel,
     EstimatorConfig,
     consistency_factor,
-    density_at,
     dilation_coefficients,
     estimate_coefficients,
     fit_model,
@@ -21,10 +20,8 @@ from wavedens.estimator import (
     normalization_mass,
     normalize,
     read_coefficients,
-    reconstruct_g,
     rescale_to_domain,
     soft_threshold,
-    to_single_trend,
     truncate_details,
     write_coefficients,
 )
@@ -239,14 +236,7 @@ class TestSoftThreshold:
 class TestFilterBank:
     def test_trend_only_comes_back_unchanged(self):
         cs = make_set({BasisIndex(0, (0,), 0): 1.0, BasisIndex(0, (2,), 0): -0.5}, J=-1)
-        assert to_single_trend(cs) == cs
-
-    def test_haar_synthesis_hand_example(self):
-        cs = make_set({BasisIndex(0, (0,), 0): 1.0, BasisIndex(0, (0,), 1): 1.0})
-        out = to_single_trend(cs)
-        assert out.entries[BasisIndex(1, (0,), 0)] == pytest.approx(math.sqrt(2), abs=1e-15)
-        # alpha_{1,1} = 1/sqrt2 - 1/sqrt2 = 0 and is dropped from the map
-        assert BasisIndex(1, (1,), 0) not in out.entries
+        assert oracle.single_trend_set(cs) == cs
 
     def test_haar_analysis_hand_example(self):
         a, b = 1.7, -0.4
@@ -268,7 +258,7 @@ class TestFilterBank:
         fine = estimate_coefficients(
             pts, EstimatorConfig(wavelet_order=2, j0=3, J=2, k=1, normalize=False)
         )
-        filtered = dilation_coefficients(to_single_trend(fine))
+        filtered = dilation_coefficients(fine)
         keys = set(direct.entries) | set(filtered.entries)
         for key in keys:
             assert abs(direct.entries.get(key, 0.0) - filtered.entries.get(key, 0.0)) < 1e-10
@@ -277,27 +267,10 @@ class TestFilterBank:
         rng = np.random.default_rng(6)
         pts = rng.random((80, 2))
         cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=2, j0=1, J=1, k=1, normalize=False))
-        back = dilation_coefficients(to_single_trend(cs))
+        back = dilation_coefficients(oracle.single_trend_set(cs))
         keys = set(cs.entries) | set(back.entries)
         for key in keys:
             assert abs(cs.entries.get(key, 0.0) - back.entries.get(key, 0.0)) < 1e-10
-
-    def test_energy_preserved(self):
-        rng = np.random.default_rng(7)
-        pts = rng.random((120, 2))
-        cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=6, j0=0, J=2, k=1, normalize=False))
-        st = to_single_trend(cs)
-        assert abs(normalization_mass(cs) - normalization_mass(st)) < 1e-10
-
-    def test_reconstruction_unchanged_on_dyadic_grid(self):
-        rng = np.random.default_rng(8)
-        pts = rng.random((100, 2))
-        cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=2, j0=0, J=2, k=1, normalize=False))
-        st = to_single_trend(cs)
-        centers = (np.arange(32) + 0.5) / 32.0
-        a = DensityModel(cs).reconstruct_on_axes([centers, centers])
-        b = DensityModel(st).reconstruct_on_axes([centers, centers])
-        assert np.max(np.abs(a - b)) < 1e-9
 
     @pytest.mark.parametrize("order", [2, 6])
     def test_direct_equals_filtered_d3_with_details(self, order):
@@ -311,7 +284,7 @@ class TestFilterBank:
         fine = estimate_coefficients(
             pts, EstimatorConfig(wavelet_order=order, j0=2, J=1, k=1, normalize=False)
         )
-        filtered = dilation_coefficients(to_single_trend(fine))
+        filtered = dilation_coefficients(fine)
         assert {key.orientation for key in direct.entries} == set(range(8))
         for key in set(direct.entries) | set(filtered.entries):
             assert abs(direct.entries.get(key, 0.0) - filtered.entries.get(key, 0.0)) < 1e-10
@@ -319,10 +292,9 @@ class TestFilterBank:
     def test_level_transform_memory_is_bounded(self):
         # a tensor filter over cells x 12**3 taps would peak at hundreds of MiB here
         pts = np.random.default_rng(13).random((60, 3))
-        cs = estimate_coefficients(pts, EstimatorConfig(wavelet_order=6, j0=0, J=0, k=1, normalize=False))
-        single, synthesis_peak = traced_peak(lambda: to_single_trend(cs))
+        single = estimate_coefficients(pts, EstimatorConfig(wavelet_order=6, j0=1, J=0, k=1, normalize=False))
         _, analysis_peak = traced_peak(lambda: dilation_coefficients(single))
-        assert synthesis_peak < 16 << 20 and analysis_peak < 16 << 20
+        assert analysis_peak < 16 << 20
 
     def test_dilation_requires_single_trend(self):
         with pytest.raises(ValueError):
@@ -341,7 +313,7 @@ class TestBasisLookup:
         path = tmp_path / "model.json"
         write_coefficients(path, model.coefficients)
         model_from_file(path)[0].density(pts)
-        dilation_coefficients(to_single_trend(model.coefficients))
+        dilation_coefficients(estimate_coefficients(pts, EstimatorConfig(wavelet_order=6, j0=2, J=1, k=1)))
         sweep = BenchmarkConfig(
             densities=("uniform",), sample_sizes=(64,), replications=1,
             J_values=(1,), k_values=(1,), grid_resolution=16,
@@ -372,22 +344,22 @@ class TestReconstruction:
         model = DensityModel(cs)
         pts = np.array([[0.1, 0.9], [0.5, 0.5], [0.99, 0.01]])
         np.testing.assert_array_equal(model.reconstruct(pts), 1.0)
-        assert reconstruct_g(model, (0.3, 0.3)) == 1.0
+        assert model.reconstruct([[0.3, 0.3]])[0] == 1.0
 
     def test_empty_model_is_zero(self):
         model = DensityModel(make_set({}, d=2))
-        assert reconstruct_g(model, (0.5, 0.5)) == 0.0
+        assert model.reconstruct([[0.5, 0.5]])[0] == 0.0
 
     def test_hand_model_value(self):
         with pytest.warns(UserWarning):
             model = fit_model(HAND_POINTS, haar_trend_config())
-        assert reconstruct_g(model, (0.5,)) == pytest.approx(HAND_ALPHA, abs=1e-12)
-        assert density_at(model, (0.5,)) == pytest.approx(HAND_ALPHA**2, abs=1e-12)
+        assert model.reconstruct([[0.5]])[0] == pytest.approx(HAND_ALPHA, abs=1e-12)
+        assert model.density([[0.5]])[0] == pytest.approx(HAND_ALPHA**2, abs=1e-12)
 
     def test_density_is_square(self):
         cs = make_set({BasisIndex(0, (0,), 0): -0.3})
         model = DensityModel(cs)
-        assert density_at(model, (0.5,)) == pytest.approx(0.09, abs=1e-15)
+        assert model.density([[0.5]])[0] == pytest.approx(0.09, abs=1e-15)
 
     def test_uniform_normalized_density_is_one(self):
         rng = np.random.default_rng(10)

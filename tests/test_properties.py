@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import dict_oracle as oracle
 from test_pyramid import assert_matches_direct
 from wavedens import cli
 from wavedens.estimator import (
@@ -20,7 +21,6 @@ from wavedens.estimator import (
     normalization_mass,
     read_coefficients,
     soft_threshold,
-    to_single_trend,
     write_coefficients,
 )
 
@@ -99,7 +99,7 @@ def test_coefficient_file_round_trip_is_exact(tmp_path_factory, fit):
 def test_blocks_are_sorted_and_trimmed(fit):
     points, config = fit
     raw = estimate_coefficients(points, config)
-    for cs in (raw, fit_model(points, config).coefficients, soft_threshold(raw, 1.0), to_single_trend(raw)):
+    for cs in (raw, fit_model(points, config).coefficients, soft_threshold(raw, 1.0)):
         assert list(cs.blocks) == sorted(cs.blocks)
         for _, dense in cs.blocks.values():
             for axis in range(dense.ndim):
@@ -121,7 +121,7 @@ def test_batch_equals_one_k_calls(fit, ks):
 def test_synthesis_then_analysis_is_the_identity(fit):
     points, config = fit
     cs = estimate_coefficients(points, dataclasses.replace(config, J=config.j0))
-    single = to_single_trend(cs)
+    single = oracle.single_trend_set(cs)
     assert (single.j0, single.J) == (cs.J + 1, cs.J)
     mass = normalization_mass(cs)
     assert abs(normalization_mass(single) - mass) <= 1e-12 * mass
