@@ -23,15 +23,9 @@ from .errors import (
 from .wavelets import (
     BasisIndex,
     WaveletFamily,
-    approx_kernel,
     build_family,
     cached_family,
     daubechies_filter,
-    father_at,
-    mother_at,
-    refinement_coefficients,
-    supported_translates,
-    tensor_basis_at,
 )
 from .neighbors import (
     KCondition,
@@ -70,13 +64,11 @@ from .simulation import (
     BenchmarkReport,
     MixtureSpec,
     MomentCheck,
-    NeighborLawSample,
     exp_law_check,
     get_density,
     ks_exponential,
     make_mixture,
     moment_identity_check,
-    neighbor_law_sample,
     replication_rng,
     run_benchmark,
     sample_mixture,

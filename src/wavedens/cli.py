@@ -38,7 +38,7 @@ from .simulation import (
     run_benchmark,
     software_versions,
 )
-from .wavelets import MAX_ORDER, RESOLUTIONS, build_family, cached_family
+from .wavelets import MAX_ORDER, RESOLUTIONS, _filter_errors, build_family, cached_family
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -136,9 +136,6 @@ def read_points_csv(path, dim: int | None = None) -> np.ndarray:
 
 def _provenance(args, seed=None) -> dict:
     flags = {key: val for key, val in vars(args).items() if key != "func"}
-    for key, val in list(flags.items()):
-        if isinstance(val, np.ndarray):
-            flags[key] = val.tolist()
     return {**software_versions(), "flags": flags, "seed": seed}
 
 
@@ -238,7 +235,11 @@ def cmd_eval(args) -> int:
         rows, coords = len(pts), lambda start, stop: pts[start:stop]
         g_vals = model.reconstruct(forward(pts))
     elif args.grid is not None:
-        grid = GridSpec.from_box(extras.get("domain", [[0.0, 1.0]] * model.d), args.grid)
+        box = np.asarray(extras.get("domain", [[0.0, 1.0]] * model.d), dtype=float)
+        if affine is not None:
+            # the model's domain, mapped back onto the data's box
+            box = affine.inverse(box.T).T
+        grid = GridSpec.from_box(box, args.grid)
         rows, coords = grid.cells, grid.cell_centers
         g_vals = grid_eval(lambda x: model.reconstruct(forward(x)), grid).values.ravel()
     else:
@@ -284,22 +285,15 @@ def _check_line(ok: bool, name: str, value, tolerance) -> bool:
 
 
 def _suite_wavelet() -> bool:
-    import math
-
     ok = True
     for order in (1, 2, 3, 6, 7):
         fam = cached_family(order, 10)
         r = fam.dyadic_resolution
         step = 2.0 ** -r
         tab = fam.father_table
-        ok &= _check_line(
-            abs(fam.lowpass.sum() - math.sqrt(2)) < 1e-12,
-            f"db{order}/filter-sum", abs(fam.lowpass.sum() - math.sqrt(2)), 1e-12,
-        )
-        orth = max(
-            abs(np.dot(fam.lowpass[2 * m:], fam.lowpass[: fam.lowpass.size - 2 * m]) - (1.0 if m == 0 else 0.0))
-            for m in range(order)
-        )
+        sum_error, lag_errors = _filter_errors(fam.lowpass)
+        ok &= _check_line(sum_error < 1e-12, f"db{order}/filter-sum", sum_error, 1e-12)
+        orth = max(lag_errors)
         ok &= _check_line(orth < 1e-12, f"db{order}/filter-orthonormality", orth, 1e-12)
         cells = 1 << r
         pou = np.zeros(cells)
@@ -354,7 +348,6 @@ def _suite_dilation(seed: int) -> bool:
 
 
 def _suite_moment_identity(seed: int) -> bool:
-    import math
     from scipy.special import gammaln
 
     ok = True
@@ -471,7 +464,8 @@ def build_parser() -> _Parser:
     ev.add_argument("-o", "--output", default=None)
     ev.add_argument(
         "--data-coords", action="store_true",
-        help="treat inputs as original data coordinates when the model was fit with --rescale",
+        help="treat inputs as original data coordinates when the model was fit with --rescale "
+        "(--grid then covers the data's box)",
     )
     ev.set_defaults(func=cmd_eval)
 

@@ -76,23 +76,10 @@ class MixtureSpec:
         return self.weights.size == 0
 
 
-def _raw_mixture_pdf(weights, means, covariances, points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    d = pts.shape[1]
-    out = np.zeros(pts.shape[0])
-    for w, mu, cov in zip(weights, means, covariances):
-        chol = np.linalg.cholesky(cov)
-        diff = pts - mu
-        sol = np.linalg.solve(chol, diff.T)
-        quad = np.sum(sol * sol, axis=0)
-        norm = (2.0 * math.pi) ** (d / 2.0) * np.prod(np.diag(chol))
-        out += w * np.exp(-0.5 * quad) / norm
-    return out
-
-
 def _mixture_on_grid(weights, means, covariances, grid: GridSpec) -> np.ndarray:
-    """``_raw_mixture_pdf`` at every cell center of ``grid``, in grid shape,
-    with the same bits.
+    """The untruncated mixture pdf at every cell center of ``grid``, in grid
+    shape: per component, w * exp(-quad / 2) / norm with ``quad`` the
+    squared norm of the Cholesky solve of the offset from the mean.
 
     A component with a diagonal Cholesky factor is solved once, on the
     stacked (d, R) axis offsets: the factor's zeros add exact zeros, so each
@@ -261,8 +248,8 @@ def sample_mixture(spec: MixtureSpec, n: int, rng: np.random.Generator) -> np.nd
 
 
 def true_density_field(spec: MixtureSpec, grid: GridSpec) -> Field:
-    """Truncated-mixture density at the grid's cell centers, with the bits
-    of ``density_pdf`` there."""
+    """Truncated-mixture density at the grid's cell centers: the mixture
+    divided by its normalizer inside the box, zero outside it."""
     if spec.is_uniform:
         values = np.full((grid.resolution,) * grid.d, 1.0 / _box_volume(spec.domain))
     else:
@@ -272,16 +259,6 @@ def true_density_field(spec: MixtureSpec, grid: GridSpec) -> Field:
     for a, (axis, (lo, hi)) in enumerate(zip(grid.axes(), spec.domain)):
         values[(slice(None),) * a + (~((axis >= lo) & (axis <= hi)),)] = 0.0
     return Field(grid, values)
-
-
-def density_pdf(spec: MixtureSpec, points) -> np.ndarray:
-    """Truncated-mixture pdf at arbitrary points (zero outside the box)."""
-    pts = np.asarray(points, dtype=float)
-    inside = np.all((pts >= spec.domain[:, 0]) & (pts <= spec.domain[:, 1]), axis=1)
-    if spec.is_uniform:
-        return inside / _box_volume(spec.domain)
-    vals = _raw_mixture_pdf(spec.weights, spec.means, spec.covariances, pts)
-    return np.where(inside, vals / spec.normalizer, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -569,29 +546,14 @@ def ks_exponential(values) -> float:
     return float(max(d_plus, d_minus))
 
 
-class NeighborLawSample(NamedTuple):
-    """Scaled nearest-neighbour statistics n*V_(1) with their point context."""
-
-    scaled_volumes: np.ndarray
-    points: np.ndarray
-
-
-def neighbor_law_sample(n: int, rng: np.random.Generator) -> NeighborLawSample:
-    """Draw a uniform sample on the unit square and scale its first-neighbour
-    ball volumes; the limit law of the scaled volumes is unit exponential."""
-    d = 2
-    pts = rng.random((n, d))
-    stats = knn_stats(pts, 1)
-    return NeighborLawSample(scaled_volumes=n * stats.volumes, points=pts)
-
-
 def exp_law_check(n: int, replications: int, rng: np.random.Generator) -> float:
-    """KS distance of pooled n*V_(1) draws (interior points, uniform sample)
-    to the unit exponential limit law."""
+    """KS distance of pooled n*V_(1) draws (interior points, uniform sample
+    on the unit square) to the unit exponential limit law."""
     margin = n ** (-1.0 / 2)
     pooled = []
     for _ in range(replications):
-        law = neighbor_law_sample(n, rng)
-        interior = np.all((law.points > margin) & (law.points < 1.0 - margin), axis=1)
-        pooled.append(law.scaled_volumes[interior])
+        pts = rng.random((n, 2))
+        scaled_volumes = n * knn_stats(pts, 1).volumes
+        interior = np.all((pts > margin) & (pts < 1.0 - margin), axis=1)
+        pooled.append(scaled_volumes[interior])
     return ks_exponential(np.concatenate(pooled))

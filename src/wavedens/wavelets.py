@@ -18,7 +18,6 @@ is the pure father product.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -116,12 +115,22 @@ def daubechies_filter(order: int) -> np.ndarray:
     return h
 
 
+def _filter_errors(h: np.ndarray) -> tuple[float, list[float]]:
+    """|sum(h) - sqrt(2)| and, for each lag 2m with m < len(h) / 2, the
+    shift-orthonormality error |<h[2m:], h[:len(h) - 2m]> - delta_m|."""
+    lags = [
+        abs(np.dot(h[2 * m :], h[: h.size - 2 * m]) - (1.0 if m == 0 else 0.0))
+        for m in range(h.size // 2)
+    ]
+    return abs(h.sum() - math.sqrt(2.0)), lags
+
+
 def _check_filter(h: np.ndarray, order: int) -> None:
-    if abs(h.sum() - math.sqrt(2.0)) > _FILTER_SUM_TOL:
+    sum_error, lag_errors = _filter_errors(h)
+    if sum_error > _FILTER_SUM_TOL:
         raise ConfigurationError(f"order-{order} filter does not sum to sqrt(2)")
-    for m in range(order):
-        target = 1.0 if m == 0 else 0.0
-        if abs(np.dot(h[2 * m :], h[: h.size - 2 * m]) - target) > _FILTER_ORTHO_TOL:
+    for m, error in enumerate(lag_errors):
+        if error > _FILTER_ORTHO_TOL:
             raise ConfigurationError(
                 f"order-{order} filter fails shift orthonormality at lag {2 * m}"
             )
@@ -222,98 +231,3 @@ def _table_at(table: np.ndarray, resolution: int, width: int, x) -> np.ndarray |
     out += hi
     out[outside] = 0.0
     return out
-
-
-def father_at(family: WaveletFamily, x) -> np.ndarray | float:
-    """Father function value(s) at x; zero outside [0, 2p-1]."""
-    return _table_at(family.father_table, family.dyadic_resolution, family.support_length, x)
-
-
-def mother_at(family: WaveletFamily, x) -> np.ndarray | float:
-    """Mother function value(s) at x; zero outside [0, 2p-1]."""
-    return _table_at(family.mother_table, family.dyadic_resolution, family.support_length, x)
-
-
-def tensor_basis_at(family: WaveletFamily, index: BasisIndex, x) -> float:
-    """Evaluate the tensor-product basis function phi/psi^(q)_{j,z} at a point.
-
-    Returns 2**(d*j/2) * prod_a u_a(2**j x_a - z_a) with u_a the father when
-    bit a of the orientation is 0 and the mother when it is 1.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.asarray(index.translate, dtype=float)
-    d = z.size
-    if xa.size != d:
-        raise ValueError(f"point dimension {xa.size} does not match index dimension {d}")
-    if not 0 <= index.orientation < (1 << d):
-        raise ValueError(f"orientation {index.orientation} out of range for d={d}")
-    args = np.ldexp(xa, index.level) - z
-    value = 2.0 ** (d * index.level / 2.0)
-    for a in range(d):
-        if (index.orientation >> a) & 1:
-            value *= mother_at(family, args[a])
-        else:
-            value *= father_at(family, args[a])
-    return float(value)
-
-
-def supported_translates(family: WaveletFamily, j: int, x, d: int) -> list[tuple[int, ...]]:
-    """Integer translates z whose level-j basis support contains the point.
-
-    Per axis these are the 2p-1 (or fewer) integers with 2**j x - z inside
-    the open support (0, 2p-1).  For the Haar family the left endpoint is
-    included as well, since its father does not vanish there; this keeps the
-    list free of false negatives at lattice points.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if xa.size != d:
-        raise ValueError(f"point dimension {xa.size} does not match d={d}")
-    width = family.support_length
-    per_axis = []
-    for a in range(d):
-        t = math.ldexp(float(xa[a]), j)
-        top = math.floor(t)
-        lo = top - (width - 1)
-        if t == top and family.order > 1:
-            top -= 1  # father vanishes at 0 for p >= 2
-        per_axis.append(range(lo, top + 1))
-    return list(itertools.product(*per_axis))
-
-
-def refinement_coefficients(
-    family: WaveletFamily, d: int, q: int
-) -> dict[tuple[int, ...], float]:
-    """Two-scale coefficients c_k of the orientation-q tensor basis.
-
-    With the 2**(d*j/2) normalization the d-variate relation is
-    u^(q)_{j,z} = sum_k c_k phi_{j+1, 2z+k}, where c_k is the plain tensor
-    product over axes of the low-pass (bit 0) / high-pass (bit 1) filters.
-    """
-    if not 0 <= q < (1 << d):
-        raise ValueError(f"orientation {q} out of range for d={d}")
-    filters = [family.highpass if (q >> a) & 1 else family.lowpass for a in range(d)]
-    return {
-        key: math.prod((filters[a][k] for a, k in enumerate(key)), start=1.0)
-        for key in itertools.product(range(len(filters[0])), repeat=d)
-    }
-
-
-def approx_kernel(family: WaveletFamily, j: int, x, y) -> float:
-    """Projection kernel K_j(x, y) = sum_z phi_{j,z}(x) phi_{j,z}(y).
-
-    The sum runs over the intersection of the supported translates at the
-    two points, hence it is finite.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    if xa.size != ya.size:
-        raise ValueError("x and y must share a dimension")
-    d = xa.size
-    zs = set(supported_translates(family, j, xa, d)) & set(
-        supported_translates(family, j, ya, d)
-    )
-    total = 0.0
-    for z in sorted(zs):
-        index = BasisIndex(j, z, 0)
-        total += tensor_basis_at(family, index, xa) * tensor_basis_at(family, index, ya)
-    return total

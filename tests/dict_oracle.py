@@ -8,7 +8,7 @@ representation must reproduce their entries bit for bit, in the same order.
 The scatter kernel and the per-axis factor matrices are shared with the
 package, since the representation change does not touch them.  The level
 transforms keep the d-variate tensor form, one gather or scatter over
-cells x (2p)^d with filters from the scalar oracle ``refinement_coefficients``:
+cells x (2p)^d with filters from ``basis_oracle.refinement_coefficients``:
 the dilation as the reference for the package's one-axis analysis passes, and
 the synthesis (``to_single_trend``) as the tests' only source of synthesized
 sets, since the package has none.
@@ -20,9 +20,10 @@ import math
 
 import numpy as np
 
+from basis_oracle import refinement_coefficients
 from wavedens import estimator
 from wavedens.neighbors import knn_stats
-from wavedens.wavelets import BasisIndex, cached_family, refinement_coefficients
+from wavedens.wavelets import BasisIndex, cached_family
 
 
 def sorted_entries(raw):

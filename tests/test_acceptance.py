@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from basis_oracle import father_at
 from wavedens.classical import fit_classical
 from wavedens.estimator import (
     EstimatorConfig,
@@ -28,7 +29,7 @@ from wavedens.simulation import (
     run_benchmark,
     sample_mixture,
 )
-from wavedens.wavelets import BasisIndex, cached_family, daubechies_filter, father_at
+from wavedens.wavelets import BasisIndex, cached_family, daubechies_filter
 
 MASTER_SEED = 20240901
 GRID_128 = GridSpec.unit(2, 128)

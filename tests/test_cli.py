@@ -311,6 +311,31 @@ class TestEval:
         mapped = raw[:5] * np.array(doc["affine"]["scale"]) + np.array(doc["affine"]["offset"])
         np.testing.assert_allclose(rows[:, 3], loaded.density(mapped) * jac, rtol=1e-12)
 
+    def test_data_coords_grid_covers_the_data_box(self, tmp_path):
+        # boxes from 1e-6 to 1e6 wide at random offsets: the grid's cells tile
+        # the data's box, and its mass in data coordinates is the model grid's
+        rng = np.random.default_rng(2024)
+        resolution = 16
+        for span in 10.0 ** np.arange(-6, 7, 3):
+            for _ in range(2):
+                lo = span * rng.uniform(-10.0, 10.0, 2)
+                raw = lo + span * rng.beta(2.0, 3.0, (200, 2))
+                pts, model = tmp_path / "pts.csv", tmp_path / "m.json"
+                write_csv(pts, raw)
+                assert main(["fit", str(pts), "-o", str(model), "--wavelet", "db2", "--J", "1", "--rescale"]) == 0
+                data, unit = tmp_path / "data.csv", tmp_path / "unit.csv"
+                assert main(["eval", str(model), "--grid", str(resolution), "--data-coords", "-o", str(data)]) == 0
+                assert main(["eval", str(model), "--grid", str(resolution), "-o", str(unit)]) == 0
+                data_rows, unit_rows = read_points_csv(data), read_points_csv(unit)
+                box_lo, box_hi = raw.min(axis=0), raw.max(axis=0)
+                step = (box_hi - box_lo) / resolution
+                coords = data_rows[:, :2]
+                np.testing.assert_allclose(coords.min(axis=0) - step / 2, box_lo, rtol=0, atol=1e-12 * span)
+                np.testing.assert_allclose(coords.max(axis=0) + step / 2, box_hi, rtol=0, atol=1e-12 * span)
+                data_mass = data_rows[:, 3].sum() * np.prod(step)
+                unit_mass = unit_rows[:, 3].sum() / resolution**2
+                assert abs(data_mass - unit_mass) <= 1e-12 * unit_mass
+
 
 def set_first_entry(field, value):
     def mutate(doc):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dict_oracle as oracle
+from basis_oracle import supported_translates, tensor_basis_at
 from heap import traced_peak
 from wavedens import estimator
 from wavedens.classical import classical_coefficients, fit_classical
@@ -27,7 +28,7 @@ from wavedens.estimator import (
 )
 from wavedens.neighbors import knn_stats
 from wavedens.simulation import BenchmarkConfig, run_benchmark
-from wavedens.wavelets import BasisIndex, cached_family, supported_translates, tensor_basis_at
+from wavedens.wavelets import BasisIndex, cached_family
 
 HAND_POINTS = np.array([[0.2], [0.4], [0.7]])
 

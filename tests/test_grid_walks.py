@@ -154,7 +154,7 @@ class TestMixtureOnGrid:
             weights, means, covariances = _random_mixture(rng, box, means_beyond)
             grid = GridSpec.from_box(box, resolution)
             values = simulation._mixture_on_grid(weights, means, covariances, grid)
-            expected = simulation._raw_mixture_pdf(weights, means, covariances, grid.cell_centers())
+            expected = grid_oracle.raw_mixture_pdf(weights, means, covariances, grid.cell_centers())
             np.testing.assert_array_equal(values, expected.reshape(values.shape))
 
     def test_a_diagonal_component_is_solved_once(self, monkeypatch):
@@ -197,7 +197,8 @@ class TestEvalWalk:
         model, extras = model_from_file(model_json)
         affine = AffineMap(**{key: np.asarray(val) for key, val in extras["affine"].items()})
         if source == "grid":
-            pts = GridSpec.from_box(extras["domain"], 70).cell_centers()
+            # with --data-coords the grid lies over the data's box
+            pts = GridSpec.from_box(affine.inverse(np.asarray(extras["domain"]).T).T, 70).cell_centers()
         else:
             pts = np.loadtxt(pts_csv, delimiter=",", skiprows=1)
         g = model.reconstruct(affine.forward(pts))

