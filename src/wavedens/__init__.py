@@ -29,7 +29,6 @@ from .wavelets import (
 )
 from .neighbors import (
     KCondition,
-    NeighborStats,
     knn_stats,
     unit_ball_volume,
     validate_k,

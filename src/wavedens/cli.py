@@ -29,7 +29,7 @@ from .estimator import (
     AffineMap,
 )
 from .metrics import GridSpec, grid_eval, point_chunks
-from .neighbors import knn_stats, validate_k
+from .neighbors import knn_stats, unit_ball_volume, validate_k
 from .simulation import (
     BenchmarkConfig,
     exp_law_check,
@@ -336,13 +336,9 @@ def _suite_dilation(seed: int) -> bool:
     for order in (2, 6):
         for _ in range(10):
             pts = rng.random((200, 2))
-            direct = estimate_coefficients(
-                pts, EstimatorConfig(wavelet_order=order, j0=2, J=2, k=1, normalize=False)
-            )
+            direct = estimate_coefficients(pts, EstimatorConfig(wavelet_order=order, j0=2, J=2, k=1))
             # a trend-only set (J = j0 - 1) at level 3
-            fine = estimate_coefficients(
-                pts, EstimatorConfig(wavelet_order=order, j0=3, J=2, k=1, normalize=False)
-            )
+            fine = estimate_coefficients(pts, EstimatorConfig(wavelet_order=order, j0=3, J=2, k=1))
             worst = max(worst, _largest_block_gap(direct.blocks, dilation_coefficients(fine).blocks))
     return _check_line(worst < 1e-10, "dilation/direct-vs-filtered", worst, 1e-10)
 
@@ -421,15 +417,16 @@ def cmd_wavelet_table(args) -> int:
 
 def _knn_audit(args) -> int:
     points = read_points_csv(args.points, args.dim)
-    n = points.shape[0]
+    n, d = points.shape
     if not 1 <= args.k <= n - 1:
         raise DataError(f"k must satisfy 1 <= k <= n - 1, got k={args.k}, n={n}")
-    stats = knn_stats(points, args.k)
+    (radii,) = knn_stats(points, [args.k])
+    volumes = unit_ball_volume(d) * radii**d
     _write_csv(
         args.output,
         [f"# wavedens {__version__} check knn; k={args.k}", "index,radius,volume"],
-        points.shape[0],
-        lambda start, stop: [np.arange(start, stop), stats.radii[start:stop], stats.volumes[start:stop]],
+        n,
+        lambda start, stop: [np.arange(start, stop), radii[start:stop], volumes[start:stop]],
     )
     return 0
 

@@ -40,7 +40,7 @@ from .errors import (
     EstimationError,
     KConsistencyWarning,
 )
-from .neighbors import as_points, knn_radii, unit_ball_volume, validate_k
+from .neighbors import as_points, knn_stats, unit_ball_volume, validate_k
 from .wavelets import DEFAULT_RESOLUTION, MAX_ORDER, BasisIndex, WaveletFamily, cached_family, _table_at
 
 SCHEMA_VERSION = 1
@@ -286,7 +286,7 @@ def _estimate_sets(points, config: EstimatorConfig, ks, stacklevel: int) -> list
             warnings.warn(verdict.message, KConsistencyWarning, stacklevel=stacklevel)
     # each row of radii becomes the weights consistency_factor(k) / sqrt(n)
     # * sqrt(c0 * r**d) in place, with the same operations as that expression
-    weights = knn_radii(pts, ks)
+    weights = knn_stats(pts, ks)
     c0 = unit_ball_volume(d)
     for k, w in zip(ks, weights):
         w **= d
@@ -792,6 +792,9 @@ def read_coefficients(path) -> tuple[CoefficientSet, dict]:
             arr = np.asarray(value, dtype=float)
             if arr.shape != shape or not np.all(np.isfinite(arr)):
                 raise DataError(f"{path}: {name} needs shape {shape} and finite values")
+            if name == "affine scale" and not np.all(arr > 0.0):
+                # rescale_to_domain writes 1 / span; a sign or a zero would flip or void f
+                raise DataError(f"{path}: affine scale {arr.tolist()} needs every component > 0")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed coefficient document ({exc})") from exc
     if resolution != DEFAULT_RESOLUTION:

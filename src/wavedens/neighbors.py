@@ -1,14 +1,13 @@
-"""k-nearest-neighbour radii and ball volumes for point samples.
+"""k-nearest-neighbour radii for point samples.
 
 For each sample point the distance to its k-th nearest neighbour among the
-other points is computed with an exact spatial index, and converted to the
-volume of the corresponding Euclidean ball.
+other points is computed with an exact spatial index; ``unit_ball_volume``
+turns a radius into the volume of the corresponding Euclidean ball.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,34 +40,17 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-@dataclass(frozen=True)
-class NeighborStats:
-    """Per-point k-th neighbour radii and ball volumes."""
-
-    k: int
-    radii: np.ndarray
-    volumes: np.ndarray
-    unit_ball: float
-
-
-def knn_stats(points, k: int) -> NeighborStats:
-    """Radius and ball volume of the k-th nearest other point, for every point.
+def knn_stats(points, ks) -> np.ndarray:
+    """The C-contiguous (len(ks), n) array whose row i holds, for every point,
+    the radius of its ks[i]-th nearest other point, from one k-d tree query.
 
     The radius is the k-th order statistic of the distances to the other
     points, so exact ties (including duplicated points) are handled by
-    multiset rank and the result does not depend on point ordering.
+    multiset rank and the result does not depend on point ordering.  The
+    ball volumes are ``unit_ball_volume(d) * radii**d``.  The tree is freed
+    on return, so the caller may reuse the array in place.
     """
     pts = as_points(points)
-    d = pts.shape[1]
-    (radii,) = knn_radii(pts, [k])
-    c0 = unit_ball_volume(d)
-    return NeighborStats(k=k, radii=radii, volumes=c0 * radii**d, unit_ball=c0)
-
-
-def knn_radii(pts: np.ndarray, ks) -> np.ndarray:
-    """The (len(ks), n) array whose row i holds the radii of ``knn_stats`` at
-    k = ks[i], from one k-d tree query; the tree is freed on return, so the
-    caller may reuse the array in place."""
     n = len(pts)
     if n < 2:
         raise EstimationError(f"need at least 2 points for a neighbour query, got {n}")

@@ -415,9 +415,7 @@ def _replicate_cell(spec, config, truth: Field, n, replication):
     error is None or the message of the row's failure.
     """
     points = sample_mixture(spec, n, replication_rng(config.seed, spec.name, n, replication))
-    base = EstimatorConfig(
-        wavelet_order=config.wavelet_order, j0=config.j0, J=max(config.J_values), k=1, normalize=False
-    )
+    base = EstimatorConfig(wavelet_order=config.wavelet_order, j0=config.j0, J=max(config.J_values), k=1)
     # (estimator, the ks whose rows the fit fills, raw set or failure message)
     fits = []
     if SHAPE_PRESERVING in config.estimators:
@@ -526,8 +524,8 @@ def moment_identity_check(
     rep_means = np.empty(replications)
     for m in range(replications):
         pts = rng.random((n, d))
-        stats = knn_stats(pts, k)
-        rep_means[m] = factor * np.mean(stats.radii ** (a * d))
+        (radii,) = knn_stats(pts, [k])
+        rep_means[m] = factor * np.mean(radii ** (a * d))
     empirical = float(rep_means.mean())
     se = float(rep_means.std(ddof=1) / math.sqrt(replications)) if replications > 1 else float("nan")
     z = (empirical - 1.0) / se if se and se > 0 else float("nan")
@@ -553,7 +551,8 @@ def exp_law_check(n: int, replications: int, rng: np.random.Generator) -> float:
     pooled = []
     for _ in range(replications):
         pts = rng.random((n, 2))
-        scaled_volumes = n * knn_stats(pts, 1).volumes
+        (radii,) = knn_stats(pts, [1])
+        scaled_volumes = n * (unit_ball_volume(2) * radii**2)
         interior = np.all((pts > margin) & (pts < 1.0 - margin), axis=1)
         pooled.append(scaled_volumes[interior])
     return ks_exponential(np.concatenate(pooled))

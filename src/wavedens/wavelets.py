@@ -56,7 +56,6 @@ class WaveletFamily:
     order: int
     lowpass: np.ndarray
     highpass: np.ndarray
-    support: tuple[float, float]
     dyadic_resolution: int
     father_table: np.ndarray
     mother_table: np.ndarray
@@ -198,7 +197,6 @@ def build_family(order: int, dyadic_resolution: int = DEFAULT_RESOLUTION) -> Wav
         order=order,
         lowpass=h,
         highpass=g,
-        support=(0.0, float(width)),
         dyadic_resolution=r,
         father_table=father,
         mother_table=mother,

@@ -22,7 +22,7 @@ import numpy as np
 
 from basis_oracle import refinement_coefficients
 from wavedens import estimator
-from wavedens.neighbors import knn_stats
+from wavedens.neighbors import as_points, knn_stats, unit_ball_volume
 from wavedens.wavelets import BasisIndex, cached_family
 
 
@@ -112,9 +112,17 @@ def coefficient_sums(points, weights, config):
     return blocks_to_entries(blocks)
 
 
+def radii_and_volumes(points, k):
+    """The k-th neighbour radius of every point and its ball volume
+    c0 * r**d, the arithmetic the estimator's weights start from."""
+    pts = as_points(points)
+    (radii,) = knn_stats(pts, [k])
+    return radii, unit_ball_volume(pts.shape[1]) * radii ** pts.shape[1]
+
+
 def estimate(points, config):
     n = len(points)
-    volumes = knn_stats(points, config.k).volumes
+    volumes = radii_and_volumes(points, config.k)[1]
     weights = estimator.consistency_factor(config.k) / math.sqrt(n) * np.sqrt(volumes)
     return coefficient_sums(points, weights, config)
 

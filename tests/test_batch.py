@@ -21,7 +21,7 @@ from wavedens.estimator import (
     normalize,
 )
 from wavedens.metrics import GridSpec
-from wavedens.neighbors import knn_radii, knn_stats, unit_ball_volume, validate_k
+from wavedens.neighbors import knn_stats, validate_k
 from wavedens.simulation import BenchmarkConfig, run_benchmark
 from wavedens.wavelets import BasisIndex, cached_family
 
@@ -77,7 +77,7 @@ def test_each_k_keeps_the_one_k_arithmetic(d, order):
     r = family.dyadic_resolution
     snapped = estimator.snap_to_dyadic(pts).tolist()
     for k, cs in zip(KS, estimate_coefficient_sets(pts, cfg, KS)):
-        w = estimator.consistency_factor(k) / math.sqrt(len(pts)) * np.sqrt(knn_stats(pts, k).volumes)
+        w = estimator.consistency_factor(k) / math.sqrt(len(pts)) * np.sqrt(oracle.radii_and_volumes(pts, k)[1])
         for (j, q), (zmin, dense) in cs.blocks.items():
             tables = [family.mother_table if (q >> a) & 1 else family.father_table for a in range(d)]
             for cell in np.ndindex(dense.shape):
@@ -133,14 +133,12 @@ def test_one_query_gives_the_radii_of_each_k(d):
     # coordinates on a coarse lattice, plus duplicates: many tied distances
     pts = np.round(np.random.default_rng(d).random((300, d)) * 6) / 6
     pts[-30:] = pts[:30]
-    radii = knn_radii(pts, KS)
+    radii = knn_stats(pts, KS)
     assert radii.shape == (len(KS), len(pts)) and radii.flags.c_contiguous
     for k, row in zip(KS, radii):
         expected = cKDTree(pts).query(pts, k=k + 1)[0][:, k]
-        one = knn_stats(pts, k)
-        assert one.k == k
-        assert np.array_equal(row, expected) and np.array_equal(one.radii, expected)
-        assert np.array_equal(unit_ball_volume(d) * row**d, one.volumes)
+        (one,) = knn_stats(pts, [k])
+        assert np.array_equal(row, expected) and np.array_equal(one, expected)
 
 
 def grid_cases(d):

@@ -389,6 +389,24 @@ def relabel_trend_only_below_j0(doc):
     doc["j0"], doc["J"] = 3, 0
 
 
+@pytest.mark.parametrize("data_coords", [False, True], ids=["model-coords", "data-coords"])
+@pytest.mark.parametrize("query", ["points", "grid"])
+@pytest.mark.parametrize("scale", ["negated", -0.0, 0.0])
+def test_an_affine_scale_not_above_zero_exits_2_and_writes_nothing(tmp_path, capsys, scale, query, data_coords):
+    raw = np.random.default_rng(8).uniform(100.0, 200.0, (300, 2))
+    pts, model, out = tmp_path / "pts.csv", tmp_path / "m.json", tmp_path / "out.csv"
+    write_csv(pts, raw)
+    assert main(["fit", str(pts), "-o", str(model), "--wavelet", "db2", "--J", "1", "--rescale"]) == 0
+    doc = json.loads(model.read_text())
+    doc["affine"]["scale"][0] = -doc["affine"]["scale"][0] if scale == "negated" else scale
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = [str(pts)] if query == "points" else ["--grid", "4"]
+    assert main(["eval", str(model), *args, *["--data-coords"] * data_coords, "-o", str(out)]) == 2
+    assert "affine scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEvalRejectsBadCoefficientFiles:
     @pytest.mark.parametrize(
         "mutate, message",

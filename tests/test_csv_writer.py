@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import csv_oracle as oracle
+from dict_oracle import radii_and_volumes
 from wavedens import __version__, cli
 from wavedens.cli import main, read_points_csv
 from wavedens.estimator import EstimatorConfig, fit_model, model_from_file
 from wavedens.metrics import GridSpec, grid_eval
-from wavedens.neighbors import knn_stats
 from wavedens.wavelets import build_family
 
 CHUNK = cli._CSV_CHUNK_ROWS
@@ -107,11 +107,9 @@ def points_csv(tmp_path):
 def test_knn_audit_bytes(points_csv, tmp_path):
     out = tmp_path / "knn.csv"
     assert main(["check", "knn", str(points_csv), "--k", "3", "-o", str(out)]) == 0
-    stats = knn_stats(read_points_csv(points_csv), 3)
+    radii, volumes = radii_and_volumes(read_points_csv(points_csv), 3)
     head = f"# wavedens {__version__} check knn; k=3"
-    assert out.read_bytes() == oracle_bytes(
-        lambda h: oracle.knn_audit(h, stats.radii, stats.volumes, head)
-    )
+    assert out.read_bytes() == oracle_bytes(lambda h: oracle.knn_audit(h, radii, volumes, head))
 
 
 def test_fit_grid_bytes(points_csv, tmp_path):

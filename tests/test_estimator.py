@@ -6,6 +6,7 @@ import pytest
 
 import dict_oracle as oracle
 from basis_oracle import supported_translates, tensor_basis_at
+from dict_oracle import radii_and_volumes
 from heap import traced_peak
 from wavedens import estimator
 from wavedens.classical import classical_coefficients, fit_classical
@@ -26,7 +27,6 @@ from wavedens.estimator import (
     truncate_details,
     write_coefficients,
 )
-from wavedens.neighbors import knn_stats
 from wavedens.simulation import BenchmarkConfig, run_benchmark
 from wavedens.wavelets import BasisIndex, cached_family
 
@@ -551,7 +551,7 @@ class TestScatter:
             weights = np.full(n, 1.0 / n)
         else:
             coeffs = estimate_coefficients(pts, cfg)
-            weights = consistency_factor(1) / math.sqrt(n) * np.sqrt(knn_stats(pts, 1).volumes)
+            weights = consistency_factor(1) / math.sqrt(n) * np.sqrt(radii_and_volumes(pts, 1)[1])
         blocks = [(0, 0)] + [(j, q) for j in range(0, J + 1) for q in range(1, 1 << d)]
         keys = set(coeffs.entries)
         for x in snapped:

@@ -42,7 +42,7 @@ PUBLIC_NAMES = [
     "AffineMap", "BasisIndex", "BenchmarkConfig", "BenchmarkReport", "BudgetError", "CoefficientSet",
     "ConfigurationError", "DataError", "DegenerateModelError", "DensityModel", "EstimationError",
     "EstimatorConfig", "Field", "GridSpec", "KCondition", "KConsistencyWarning", "MixtureSpec", "MomentCheck",
-    "NeighborStats", "WavedensError", "WaveletFamily", "build_family", "cached_family", "classical",
+    "WavedensError", "WaveletFamily", "build_family", "cached_family", "classical",
     "classical_coefficients", "consistency_factor", "daubechies_filter", "dilation_coefficients", "errors",
     "estimate_coefficient_sets", "estimate_coefficients", "estimator", "exp_law_check", "fit_classical",
     "fit_model", "get_density", "grid_eval", "ise", "knn_stats", "ks_exponential", "make_mixture", "mass",
