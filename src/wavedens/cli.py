@@ -447,7 +447,7 @@ def build_parser() -> _Parser:
     fit.add_argument("--no-normalize", action="store_true")
     fit.add_argument("--rescale", action="store_true", help="map the data box to the unit cube")
     fit.add_argument("--pad", type=_parse_pad, default=0.0, help="padding fraction for --rescale")
-    fit.add_argument("--dim", type=int, default=None, help="number of columns when there is no header")
+    fit.add_argument("--dim", type=_positive_int, default=None, help="number of columns when there is no header")
     fit.add_argument("--grid", type=int, default=None, metavar="R", help="also write an R^d density grid")
     fit.add_argument("--grid-output", default=None)
     fit.add_argument("--estimator", choices=["shape-preserving", "classical"], default="shape-preserving")
@@ -480,7 +480,7 @@ def build_parser() -> _Parser:
     check.add_argument("points", nargs="?", default=None, help="point CSV (knn suite only)")
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--k", type=int, default=1, help="neighbour order (knn suite)")
-    check.add_argument("--dim", type=int, default=None)
+    check.add_argument("--dim", type=_positive_int, default=None)
     check.add_argument("-o", "--output", default=None, help="audit CSV (knn suite)")
     check.set_defaults(func=cmd_check)
 

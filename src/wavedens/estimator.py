@@ -89,12 +89,14 @@ class CoefficientSet:
     """Estimated coefficients as dense per-(level, orientation) blocks.
 
     ``blocks`` maps (j, q), in sorted order, to (zmin, dense): dense[i] is
-    the coefficient of translate zmin + i.  Each block is cut to the bounding
-    box of its nonzeros and no block is all zero; ``entries`` is a read-only
-    BasisIndex view of the nonzeros for code outside the fit, evaluation and
-    file paths.  The father block lies at level j0 and the detail blocks at
-    j0..J, so a trend-only set (J = j0 - 1) holds the father block alone.
-    The basis is the Daubechies family of ``wavelet_order``.
+    the coefficient of translate zmin + i.  Each block is a C-order array
+    cut to the bounding box of its nonzeros and no block is all zero, so a
+    fitted set and its file read-back evaluate to the same bits; ``entries``
+    is a read-only BasisIndex view of the nonzeros for code outside the fit,
+    evaluation and file paths.  The father block lies at level j0 and the
+    detail blocks at j0..J, so a trend-only set (J = j0 - 1) holds the
+    father block alone.  The basis is the Daubechies family of
+    ``wavelet_order``.
     """
 
     blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -135,7 +137,8 @@ class CoefficientSet:
 
 def _trimmed(blocks) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """Blocks in sorted (level, orientation) order, each cut to the bounding
-    box of its nonzeros (with -0.0 made +0.0); all-zero blocks are dropped."""
+    box of its nonzeros (with -0.0 made +0.0) as a C-order copy; all-zero
+    blocks are dropped."""
     out = {}
     for key in sorted(blocks):
         zmin, dense = blocks[key]
@@ -143,7 +146,7 @@ def _trimmed(blocks) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
         if nz[0].size == 0:
             continue
         box = tuple(slice(ax.min(), ax.max() + 1) for ax in nz)
-        out[key] = (zmin + np.array([s.start for s in box]), dense[box] + 0.0)
+        out[key] = (zmin + np.array([s.start for s in box]), np.add(dense[box], 0.0, order="C"))
     return out
 
 
@@ -456,21 +459,6 @@ def rescale_to_domain(points, padding: float = 0.0):
     return np.clip(mapped, 0.0, 1.0, out=mapped), mapping
 
 
-def row_chunks(n: int, rows: int):
-    """Ranges (start, stop) that cover n rows, ``rows`` at a time.  A lone
-    last row joins the chunk before it: numpy multiplies a single row
-    through another BLAS kernel than several, which rounds differently, so
-    with this rule a row of an input of two or more rows gets the same
-    bits in any chunking."""
-    start = 0
-    while start < n:
-        stop = min(start + rows, n)
-        if n - stop == 1 and rows > 1:
-            stop = n
-        yield start, stop
-        start = stop
-
-
 def _axis_factors(family: WaveletFamily, j: int, q: int, zmin, shape, axes) -> list[np.ndarray]:
     """Per-axis factor matrices of one (level, orientation) block.
 
@@ -533,9 +521,10 @@ class DensityModel:
         ``_CHUNK_BYTES``, counting per row the block's factor columns, the
         interpolation scratch of its widest axis (the t - z array and three
         more in ``_table_at``) and its partial contractions; a small block
-        takes long chunks and a wide one short chunks.  A row's value does
-        not depend on the rows evaluated with it, when there are at least
-        two (``row_chunks``)."""
+        takes long chunks and a wide one short chunks.  Every axis is
+        contracted by ``np.einsum`` over C-order blocks, numpy's own loop
+        whose rounding follows only the operands' layout, so a row's value
+        does not depend on the rows evaluated with it."""
         pts = as_points(points)
         if pts.shape[1] != self.d:
             raise ValueError(f"expected dimension {self.d}, got {pts.shape[1]}")
@@ -543,13 +532,14 @@ class DensityModel:
         for (j, q), (zmin, dense) in self.coefficients.blocks.items():
             shape = dense.shape
             floats = sum(shape) + 4 * max(shape) + sum(math.prod(shape[a:]) for a in range(1, self.d + 1))
-            for start, stop in row_chunks(pts.shape[0], max(1, _CHUNK_BYTES // (8 * floats))):
-                chunk = pts[start:stop]
+            rows = max(1, _CHUNK_BYTES // (8 * floats))
+            for start in range(0, pts.shape[0], rows):
+                chunk = pts[start : start + rows]
                 factors = _axis_factors(self.family, j, q, zmin, shape, chunk.T)
-                acc = factors[0] @ dense.reshape(len(dense), -1)
+                acc = np.einsum("ns,sr->nr", factors[0], dense.reshape(len(dense), -1))
                 for a in range(1, self.d):
                     acc = np.einsum("nsr,ns->nr", acc.reshape(len(chunk), shape[a], -1), factors[a])
-                out[start:stop] += 2.0 ** (self.d * j / 2.0) * acc[:, 0]
+                out[start : start + rows] += 2.0 ** (self.d * j / 2.0) * acc[:, 0]
                 # freed before the next chunk builds its own
                 del factors, acc
         return out

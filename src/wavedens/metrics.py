@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .estimator import _CHUNK_BYTES, _MAX_FILE_CELLS, DensityModel, row_chunks
+from .estimator import _CHUNK_BYTES, _MAX_FILE_CELLS, DensityModel
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,8 @@ def point_chunks(n: int, d: int):
     """Ranges (start, stop) that walk n points (or cells) of dimension d
     whose coordinates take a sixteenth of ``_CHUNK_BYTES`` per chunk: small
     beside the scratch of the work done on them."""
-    return row_chunks(n, max(1, _CHUNK_BYTES // (16 * 8 * d)))
+    rows = max(1, _CHUNK_BYTES // (16 * 8 * d))
+    return ((start, min(start + rows, n)) for start in range(0, n, rows))
 
 
 def grid_eval(density, grid: GridSpec) -> Field:

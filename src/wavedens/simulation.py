@@ -37,7 +37,6 @@ from .estimator import (
     EstimatorConfig,
     estimate_coefficient_sets,
     normalize,
-    row_chunks,
     truncate_details,
 )
 from .metrics import Field, GridSpec, grid_eval, ise, mass, mise_aggregate, negative_mass
@@ -86,7 +85,9 @@ def _mixture_on_grid(weights, means, covariances, grid: GridSpec) -> np.ndarray:
     solved coordinate depends on its own axis alone, and ``quad`` is formed
     by outer adds in the order of ``np.sum(..., axis=0)``.  Any other
     component is solved cell by cell.  The grid is walked in slabs of
-    leading-axis rows of about 4 096 cells, so no solve gets a lone column.
+    leading-axis rows of about 4 096 cells.  No solve gets a lone column
+    by construction: at d >= 2 a slab row holds R^(d-1) >= 2 cells, and at
+    d = 1 every component is diagonal.
     """
     r, d = grid.resolution, grid.d
     axes = np.stack(grid.axes())
@@ -101,7 +102,9 @@ def _mixture_on_grid(weights, means, covariances, grid: GridSpec) -> np.ndarray:
         parts.append((w, mu, chol, norm, squares))
     values = np.zeros((r,) * d)
     run = r ** (d - 1)
-    for start, stop in row_chunks(r, max(1, 4096 // run)):
+    rows = max(1, 4096 // run)
+    for start in range(0, r, rows):
+        stop = min(start + rows, r)
         out, centers = values[start:stop], None
         for w, mu, chol, norm, squares in parts:
             if squares is None:

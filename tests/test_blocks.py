@@ -185,3 +185,26 @@ def test_sweep_rows_never_build_the_entries_view(monkeypatch, tmp_path):
     assert builds == []
     cs = estimate_coefficients(np.random.default_rng(0).random((20, 2)), EstimatorConfig(wavelet_order=2))
     assert len(cs.entries) > 0 and builds == [cs]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_block_is_c_order(tmp_path, d):
+    # point reconstruction rounds by the blocks' memory layout, so a fitted
+    # set and its file read-back must lay their blocks out alike
+    pts = np.random.default_rng(40 + d).random((200, d))
+    cfg = EstimatorConfig(wavelet_order=2, j0=0, J=2 if d == 2 else 1, k=1)
+    fitted = fit_model(pts, cfg).coefficients
+    write_coefficients(tmp_path / "m.json", fitted)
+    sets = {
+        "fit_model": fitted,
+        "classical_coefficients": classical_coefficients(pts, cfg),
+        "soft_threshold": soft_threshold(fitted, 0.5),
+        "truncate_details": truncate_details(fitted, 0),
+        "dilation_coefficients": dilation_coefficients(
+            estimate_coefficients(pts, EstimatorConfig(wavelet_order=2, j0=3, J=2, k=1))
+        ),
+        "read_coefficients": read_coefficients(tmp_path / "m.json")[0],
+    }
+    for name, cs in sets.items():
+        assert cs.blocks, name
+        assert all(dense.flags.c_contiguous for _, dense in cs.blocks.values()), name

@@ -222,6 +222,19 @@ class TestFit:
         assert info.value.code == 1
         assert f"wavelet order {order[2:]} outside 1..10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["fit", "check"])
+    def test_dim_below_one_is_a_usage_error(self, tmp_path, capsys, command, dim):
+        # refused at parse time, before the (missing) points file is read;
+        # a --dim of 0 was a data error about the file's second line
+        missing, out = str(tmp_path / "missing.csv"), tmp_path / "out"
+        argv = {"fit": ["fit", missing, "--J", "0"], "check": ["check", "knn", missing]}[command]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "-o", str(out), "--dim", dim])
+        assert info.value.code == 1
+        assert f"must be >= 1, got {dim}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_classical_estimator_kind(self, uniform_csv, tmp_path):
         out = tmp_path / "c.json"
         code = main([

@@ -9,6 +9,11 @@ The whole-grid forms are kept in ``grid_oracle`` and ``csv_oracle``.
 
 import io
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from heap import traced_peak
 from wavedens import __version__, estimator, simulation
 from wavedens.cli import main
 from wavedens.errors import BudgetError
-from wavedens.estimator import AffineMap, EstimatorConfig, fit_model, model_from_file, row_chunks
+from wavedens.estimator import AffineMap, EstimatorConfig, fit_model, model_from_file, write_coefficients
 from wavedens.metrics import GridSpec, grid_eval, point_chunks
 
 REGISTRY = ["anisotropic-pair", "similar-pair", "comb4"]
@@ -46,18 +51,18 @@ class TestCellRanges:
         assert peak <= centers.nbytes + 4 * 8 * grid.resolution
 
 
-class TestRowChunks:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 50])
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 100])
-    def test_chunks_cover_without_a_lone_last_row(self, n, rows):
-        chunks = list(row_chunks(n, rows))
-        assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
-        assert chunks[-1][1] == n
-        sizes = [stop - start for start, stop in chunks]
-        assert max(sizes) <= rows + 1
-        if rows > 1 and n > 1:
-            assert min(sizes) >= 2
+def _openblas_on_x86_64() -> bool:
+    """Whether OPENBLAS_CORETYPE can pick another kernel for numpy's BLAS."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.get("name", "").lower()
 
+
+class TestRowChunks:
     def test_point_chunks_hold_a_sixteenth_of_the_budget(self):
         start, stop = next(point_chunks(10**6, 2))
         assert (stop - start) * 8 * 2 == estimator._CHUNK_BYTES // 16
@@ -67,19 +72,49 @@ class TestRowChunks:
         model = fit_model(rng.random((300, 2)), EstimatorConfig(wavelet_order=6, j0=0, J=2, k=1))
         pts = rng.random((50, 2))
         whole = model.reconstruct(pts)
-        # 7 rows a chunk for the widest block, so inputs of 7m + 1 rows end in
-        # one more; a lone row went through numpy's single-row kernel, which
-        # rounds differently
         widest = max(
             sum(s) + 4 * max(s) + sum(math.prod(s[a:]) for a in range(1, len(s) + 1))
             for s in (dense.shape for _, dense in model.coefficients.blocks.values())
         )
-        monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * widest * 7)
-        for n in range(8, 51, 7):
-            np.testing.assert_array_equal(model.reconstruct(pts[:n]), whole[:n])
-        for size in (2, 3, 16):
-            pieces = [model.reconstruct(pts[start:stop]) for start, stop in row_chunks(50, size)]
-            np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        # 1 and 7 rows a chunk for the widest block, so reconstruct's own walk
+        # runs 1-row chunks, and ends in a lone row on inputs of 7m + 1 rows;
+        # the caller's pieces of every size end in lone rows too
+        for rows in (1, 7):
+            monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * widest * rows)
+            for size in range(1, len(pts) + 1):
+                pieces = [model.reconstruct(pts[start : start + size]) for start in range(0, len(pts), size)]
+                np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
+    def test_a_read_back_model_gives_the_fitted_bits(self, tmp_path):
+        # the pyramid's axis steps leave Fortran-order arrays and the file
+        # reader C-order ones; the contraction rounds by layout, so both sets
+        # keep their blocks in C order
+        rng = np.random.default_rng(27)
+        config = EstimatorConfig(wavelet_order=6, j0=0, J=3, k=1, threshold_constant=1.0)
+        model = fit_model(rng.beta(2, 3, (2048, 2)), config)
+        write_coefficients(tmp_path / "m.json", model.coefficients)
+        back, _ = model_from_file(tmp_path / "m.json")
+        assert back.coefficients == model.coefficients
+        pts = rng.random((2000, 2))
+        np.testing.assert_array_equal(back.reconstruct(pts), model.reconstruct(pts))
+
+    @pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs OpenBLAS on x86-64")
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_rows_keep_their_bits_under_another_blas_kernel(self, coretype):
+        # the variable is read when OpenBLAS loads, so it acts on a child only
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
+        tests = [
+            f"{Path(__file__).resolve()}::TestRowChunks::{name}"
+            for name in ("test_a_row_does_not_depend_on_its_batch", "test_a_read_back_model_gives_the_fitted_bits")
+        ]
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "2 passed" in run.stdout
 
 
 class TestQuadrature:
@@ -92,6 +127,17 @@ class TestQuadrature:
     def test_truth_field_is_the_whole_grid_field(self, name):
         spec = simulation.get_density(name)
         grid = GridSpec.unit(2, 128)
+        field = simulation.true_density_field(spec, grid)
+        np.testing.assert_array_equal(field.values, grid_oracle.true_density_values(spec, grid))
+
+    @pytest.mark.parametrize("name", REGISTRY)
+    def test_a_lone_last_slab_row_keeps_its_bits(self, monkeypatch, name):
+        # 4096 // 91 = 45 rows a slab, so the last slab is one row of 91 cells
+        for module in (simulation, grid_oracle):
+            monkeypatch.setattr(module, "_NORMALIZER_RESOLUTION", 91)
+        spec = simulation.get_density.__wrapped__(name)
+        assert spec.normalizer == grid_oracle.normalizer(spec)
+        grid = GridSpec.unit(2, 91)
         field = simulation.true_density_field(spec, grid)
         np.testing.assert_array_equal(field.values, grid_oracle.true_density_values(spec, grid))
 
