@@ -17,6 +17,13 @@ crosses a dyadic cell boundary).  At snapped coordinates every table lookup
 is exact, so the two-scale relation between levels holds to float precision
 and filtering fine-level coefficients reproduces direct coarse-level
 estimation almost bit-exactly.
+
+A level that holds the father block alone (the top of a fit's pyramid, and
+every trend-only estimate) is scattered by column: on axis 0 a point's
+father values depend only on its snapped coordinate, one of at most
+2**r + 1 columns, so each point is scattered over the later axes only and
+one contraction per band offset folds the columns into the block.  A level
+with detail orientations scatters each point's full tensor band.
 """
 
 from __future__ import annotations
@@ -48,8 +55,10 @@ SCHEMA_VERSION = 1
 # bytes of per-row intermediates that coefficient estimation (a chunk's
 # snapped points, band values, flat indices and products) and point
 # reconstruction (a block's factor columns, interpolation scratch and partial
-# contractions) each hold at once; estimation adds the chunks in point order,
-# so its sums are the same bits for any chunk size
+# contractions) each hold at once, as does the column table of a father-only
+# level; estimation adds the chunks in point order, so its sums are the same
+# bits for any chunk size (for a father-only level, any that holds one
+# level-j cell of its column table)
 _CHUNK_BYTES = 1 << 20
 
 # cells that the bounding boxes of a coefficient file's blocks may span in
@@ -197,6 +206,30 @@ def _band_rows(family: WaveletFamily, table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table[: width << family.dyadic_resolution].reshape(width, -1)[::-1].T)
 
 
+def _column_extremes(points) -> np.ndarray:
+    """The (2, d) per-axis minima and maxima, one column at a time: a
+    strided column reduces an order of magnitude faster than
+    ``min(axis=0)`` of a C-order array, and both are exact."""
+    return np.array([[f(points[:, a]) for a in range(points.shape[1])] for f in (np.min, np.max)])
+
+
+def _level_box(family, extremes, j):
+    """(zmin, shape) of the translates that points with the snapped (2, d)
+    per-axis ``extremes`` reach at level j: snapping and the band start are
+    monotone in each coordinate, so the extreme points bound the band."""
+    zmin, zmax = _band(family, extremes, j)[0]
+    return zmin, tuple(int(w) for w in zmax - zmin + family.support_length)
+
+
+def _refuse_past_budget(shapes, counted: str = "") -> None:
+    """Raise BudgetError, before a scatter allocates, when the blocks of
+    ``shapes`` ((j, q), shape pairs) span more than ``_MAX_FILE_CELLS``
+    cells in all; ``counted`` names what else the shapes count."""
+    past = _cells_past_budget(shapes)
+    if past is not None:
+        raise BudgetError(f"the estimate's {past}{counted}")
+
+
 def _accumulate_level(family, points, qs, weights, j):
     """Scatter-add weighted tensor basis values at the snapped ``points`` into
     dense per-q blocks, chunk by chunk, for every row of the (m, n)
@@ -205,14 +238,12 @@ def _accumulate_level(family, points, qs, weights, j):
     Each chunk snaps its own points.  The band-table gather (of the tables
     the orientations use), the flat indices and the tensor products of a
     chunk are shared by all rows, and each row's weighted products and sums
-    keep the arithmetic of a one-row call."""
+    keep the arithmetic of a one-row call.  A point's band lies inside every
+    block, so counting the blocks against the budget bounds the chunks too."""
     n, d = points.shape
     width = family.support_length
-    # snapping and the band start are monotone in each coordinate, so the
-    # extreme points bound the band
-    extremes = snap_to_dyadic(np.stack([points.min(axis=0), points.max(axis=0)]))
-    zmin, zmax = _band(family, extremes, j)[0]
-    shape = tuple(zmax - zmin + width)
+    zmin, shape = _level_box(family, snap_to_dyadic(_column_extremes(points)), j)
+    _refuse_past_budget([((j, q), shape) for q in qs])
     strides = np.array([math.prod(shape[a + 1 :]) for a in range(d)], dtype=np.int64)
     offs = np.indices((width,) * d).reshape(d, -1).T @ strides
     rows = max(1, _CHUNK_BYTES // (8 * (3 * offs.size + 3 * d * width)))
@@ -239,13 +270,99 @@ def _accumulate_level(family, points, qs, weights, j):
     return [{(j, q): (zmin, block.reshape(shape)) for q, block in zip(qs, level)} for level in dense]
 
 
+def _father_level(family, points, weights, j):
+    """The father block at level j of every row of the (m, n) ``weights``:
+    ``_accumulate_level(family, points, [0], weights, j)`` to rounding, from
+    one scatter per point over axes 1..d-1 only.
+
+    A point's father values on axis 0 depend only on its snapped first
+    coordinate s, its column (there are at most 2**r + 1).  So each row
+    first scatter-adds, points in order, every point's weighted band over
+    the later axes into a table T[s, rest]; then it contracts axis 0, where
+    the 2p-1 band values of column s are the ``_band_rows`` row at s's
+    offset within its level-j cell: one einsum per band offset sums the
+    columns of each cell, and the cells add into the block in column order.
+
+    T holds at most ``_CHUNK_BYTES`` (or one column, where a column alone is
+    larger): the columns are walked in ranges of whole cells, or, where a
+    cell's table does not fit, in power-of-two runs of one cell's columns,
+    and each range rescans the points.  The box and one column of T count
+    against ``_MAX_FILE_CELLS`` before anything is allocated.  A row keeps
+    the bits of a one-row call, and of any chunk size that holds a cell."""
+    n, d = points.shape
+    r = family.dyadic_resolution
+    width = family.support_length
+    extremes = snap_to_dyadic(_column_extremes(points))
+    zmin, shape = _level_box(family, extremes, j)
+    rest = math.prod(shape[1:])
+    _refuse_past_budget([((j, 0), shape), ((j, 0), (1,) + shape[1:])], ", counting one column of its scatter table")
+    s_lo, s_hi = extremes[:, 0]
+    # columns per level-j cell; every column from 0 to 2**r lies in one cell below level 0
+    cell = 1 << min(max(r - j, 0), r + 1)
+    # the columns of T that fit the budget; the run of them that one einsum sums;
+    # the weight rows that share a walk of the points; the columns of one range
+    fit = max(1, _CHUNK_BYTES // (8 * rest))
+    run = min(cell, 1 << (fit.bit_length() - 1))
+    group = max(1, min(len(weights), fit // run))
+    span = run << ((fit // group // run).bit_length() - 1)
+    # flat offsets of a point's band over axes 1..d-1 from its corner in T
+    offs = np.zeros(1, dtype=np.int64)
+    for a in range(1, d):
+        offs = (offs[:, None] * shape[a] + np.arange(width)).ravel()
+    rows = max(1, _CHUNK_BYTES // (8 * (3 * offs.size + 3 * d * width)))
+    scale = 2.0 ** (d * j / 2.0)
+    band_rows = _band_rows(family, family.father_table)
+    dense = np.zeros((len(weights), math.prod(shape)))
+    for g in range(0, len(weights), group):
+        for lo in range(s_lo - s_lo % min(span, cell), s_hi + 1, span):
+            hi = min(lo + span, (s_hi // cell + 1) * cell)
+            table = np.zeros((len(weights[g : g + group]), hi - lo, rest))
+            for start in range(0, n, rows):
+                chunk, picked = points[start : start + rows], slice(start, start + rows)
+                if lo > s_lo or hi <= s_hi:
+                    # this range holds only some of the columns: keep the chunk's points in it
+                    column = snap_to_dyadic(chunk[:, 0])
+                    kept = np.flatnonzero((column >= lo) & (column < hi))
+                    if not kept.size:
+                        continue
+                    chunk, picked = chunk[kept], start + kept
+                snapped = snap_to_dyadic(chunk)
+                z_base, frac = _band(family, snapped, j)
+                corner = snapped[:, 0] - lo
+                prod = np.ones((len(snapped), 1))
+                for a in range(1, d):
+                    corner = corner * shape[a] + z_base[:, a] - zmin[a]
+                    vals = band_rows[frac[:, a]]
+                    prod = vals if a == 1 else np.einsum("ni,nj->nij", prod, vals).reshape(len(snapped), -1)
+                lin = (corner[:, None] + offs).ravel()
+                for t, w in zip(table, weights[g : g + group]):
+                    np.add.at(t.reshape(-1), lin, (prod * (w[picked] * scale)[:, None]).ravel())
+            # the band rows of one cell's columns in this range, one band offset a row
+            cols = np.arange(lo, lo + min(hi - lo, cell))
+            taps = np.ascontiguousarray(band_rows[_band(family, cols[:, None], j)[1][:, 0]].T)
+            first = int(_band(family, np.array([[lo]]), j)[0][0, 0] - zmin[0])
+            step = 1 << max(j - r, 0)
+            cells = len(table[0]) // len(cols)
+            for t, out in zip(table, dense[g : g + group]):
+                t = t.reshape(cells, len(cols), rest)
+                out = out.reshape(shape[0], rest)
+                # offsets from the last, so that each translate adds its cells in column order
+                for o in reversed(range(width)):
+                    out[first + o : first + o + step * cells : step] += np.einsum("t,ctr->cr", taps[o], t)
+    return [{(j, 0): (zmin, block.reshape(shape))} for block in dense]
+
+
 def _coefficient_sums(points, weights, config: EstimatorConfig):
-    """Trimmed coefficient sums of every row of the (m, n) ``weights``."""
+    """Trimmed coefficient sums of every row of the (m, n) ``weights``: a
+    trend-only config takes ``_father_level`` at j0, any other scatters
+    every level j0..J through ``_accumulate_level``."""
     family = cached_family(config.wavelet_order, DEFAULT_RESOLUTION)
+    if config.J < config.j0:
+        return [_trimmed(level) for level in _father_level(family, points, weights, config.j0)]
     details = list(range(1, 1 << points.shape[1]))
     sums = [{} for _ in weights]
-    for j in range(config.j0, max(config.J, config.j0) + 1):
-        qs = ([0] if j == config.j0 else []) + (details if j <= config.J else [])
+    for j in range(config.j0, config.J + 1):
+        qs = ([0] if j == config.j0 else []) + details
         for blocks, level in zip(sums, _accumulate_level(family, points, qs, weights, j)):
             blocks.update(level)
     return [_trimmed(blocks) for blocks in sums]
@@ -442,8 +559,7 @@ def rescale_to_domain(points, padding: float = 0.0):
     pts = as_points(points)
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo, hi = _column_extremes(pts)
     span = hi - lo
     if np.any(span <= 0.0):
         bad = int(np.argmax(span <= 0.0))

@@ -418,7 +418,9 @@ def _replicate_cell(spec, config, truth: Field, n, replication):
     error is None or the message of the row's failure.
     """
     points = sample_mixture(spec, n, replication_rng(config.seed, spec.name, n, replication))
-    base = EstimatorConfig(wavelet_order=config.wavelet_order, j0=config.j0, J=max(config.J_values), k=1)
+    # J >= j0, so that the father block comes from the per-level scatter of
+    # every sweep and a trend-only row keeps its bits whatever J values share it
+    base = EstimatorConfig(wavelet_order=config.wavelet_order, j0=config.j0, J=max(*config.J_values, config.j0), k=1)
     # (estimator, the ks whose rows the fit fills, raw set or failure message)
     fits = []
     if SHAPE_PRESERVING in config.estimators:

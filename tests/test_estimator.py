@@ -601,7 +601,8 @@ class TestScatter:
             return snap(points)
 
         monkeypatch.setattr(estimator, "snap_to_dyadic", recording)
-        pts = np.random.default_rng(15).random((5000, 2))
+        # the father scatter's chunks hold 1 323 points of a 2-D db6 sample
+        pts = np.random.default_rng(15).random((8000, 2))
         config = EstimatorConfig(wavelet_order=6, j0=0, J=1, k=1)
         fit_model(pts, config)
         estimate_coefficients(pts, config)

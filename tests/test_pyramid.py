@@ -44,13 +44,17 @@ def test_pyramid_matches_direct_scatter(d, order, j0, J):
 
 def test_fit_scatters_once_at_the_finest_level(monkeypatch):
     calls = []
-    accumulate = estimator._accumulate_level
+    father = estimator._father_level
 
-    def counting(family, points, qs, weights, j):
-        calls.append((list(qs), j))
-        return accumulate(family, points, qs, weights, j)
+    def counting(family, points, weights, j):
+        calls.append(j)
+        return father(family, points, weights, j)
 
-    monkeypatch.setattr(estimator, "_accumulate_level", counting)
+    def per_level(*args):
+        raise AssertionError("the fit ran the per-level scatter")
+
+    monkeypatch.setattr(estimator, "_father_level", counting)
+    monkeypatch.setattr(estimator, "_accumulate_level", per_level)
     points = np.random.default_rng(3).random((200, 2))
     fit_model(points, EstimatorConfig(wavelet_order=2, j0=0, J=2, k=1))
-    assert calls == [([0], 3)]
+    assert calls == [3]

@@ -252,6 +252,15 @@ class TestBenchmark:
         target = [row for row in rep_b.rows if (row.n, row.J, row.k) == (64, 0, 1)][0]
         assert rep_a.rows[0].mise == target.mise
 
+    def test_trend_only_rows_do_not_depend_on_the_sweeps_J_values(self):
+        # every sweep fits at some J >= j0, so the father block of a J = -1
+        # row comes from the same per-level scatter whatever J values it shares
+        common = dict(densities=("similar-pair",), sample_sizes=(64,), replications=2, k_values=(1, 4),
+                      wavelet_order=6, grid_resolution=32, seed=17)
+        alone = run_benchmark(BenchmarkConfig(J_values=(-1,), **common), workers=1).rows
+        shared = [row for row in run_benchmark(BenchmarkConfig(J_values=(-1, 0), **common), workers=1).rows if row.J == -1]
+        assert [row._replace(wall_time=0.0) for row in alone] == [row._replace(wall_time=0.0) for row in shared]
+
     def test_report_files(self, tmp_path):
         config = BenchmarkConfig(
             densities=("uniform",), sample_sizes=(32,), replications=2,
